@@ -10,7 +10,7 @@ PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 .PHONY: tier1 test lint bench-engines bench-engines-scratch \
         bench-baseline bench-check bench-figures campaign-smoke \
         native-smoke sanitize-smoke thread-smoke chaos-smoke \
-        obs-smoke fabric-smoke trace-baseline
+        obs-smoke fabric-smoke trace-baseline bench-e2e
 
 # tier1 runs the bench suite into a scratch file (its bit-identity and
 # pool asserts still gate) so the *committed* median-anchored
@@ -112,6 +112,20 @@ obs-smoke:
 # and print the ceiling-analysis numbers ROADMAP.md quotes from it.
 trace-baseline:
 	$(PYTHON) scripts/trace_baseline.py
+
+# End-to-end benchmark (not part of tier1): run perfbench/run.py, the
+# command BENCHMARK.json declares, on each workload at seed 2016 for
+# its default run time, and print each run's final JSON line (metrics
+# plus the correctness verdict).  Fails if any run's gate fails.
+BENCH_E2E_WORKLOADS := quick-cold quick-cold-j2 mc-paper dta-vgrid
+
+bench-e2e:
+	@for workload in $(BENCH_E2E_WORKLOADS); do \
+		out=$$($(PYTHON) perfbench/run.py --workload $$workload \
+			--seed 2016); status=$$?; \
+		echo "# $$workload"; printf '%s\n' "$$out" | tail -n 1; \
+		[ $$status -eq 0 ] || exit $$status; \
+	done
 
 # Full figure/table reproduction benches (slow; scale via REPRO_BENCH_SCALE).
 bench-figures:

@@ -544,7 +544,8 @@ def run_campaign(experiment: str, scale: str | Scale = "default",
         if index in failed_indices:
             artifacts.append(None)
             continue
-        artifact = store.get(unit.key)
+        artifact = store.get(unit.key,
+                             readback=index in computed_indices)
         if artifact is None:
             # A unit that passed the envelope scan but fails to decode
             # (corrupted artifact body): self-heal by recomputing,
@@ -553,7 +554,7 @@ def run_campaign(experiment: str, scale: str | Scale = "default",
             emit(f"recomputing undecodable unit {unit.label}")
             for heal in range(max_retries + 1):
                 if _compute_one(unit, store) is None:
-                    artifact = store.get(unit.key)
+                    artifact = store.get(unit.key, readback=True)
                     if artifact is not None:
                         computed_indices.add(index)
                         break

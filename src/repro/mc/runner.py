@@ -10,10 +10,11 @@ Two execution schemes:
 * **Serial** (``n_jobs=None``, the historical default): one injector
   serves all trials of a point and its random stream continues across
   trials.  Since the compiled-code rework, the CPU is constructed once
-  per point and restored between trials via :meth:`Cpu.reset` (the
-  instruction closures are compiled exactly once per point) -- results
-  are bit-identical to the per-trial-CPU scheme because ``reset``
-  restores the exact construction-time architectural state.
+  per point and restored between trials via :meth:`Cpu.reset` (each
+  instruction closure is compiled on its first fetch and reused by
+  every later trial of the point) -- results are bit-identical to the
+  per-trial-CPU scheme because ``reset`` restores the exact
+  construction-time architectural state.
 * **Per-trial streams** (``n_jobs`` set): every trial gets an
   independent child seed spawned from the master
   :class:`numpy.random.SeedSequence` and builds its own injector, so
@@ -121,7 +122,8 @@ def run_trial(kernel: KernelInstance, injector: FaultInjector,
         cpu: optional CPU to reuse: it is reset (registers, data
             memory, counters restored from the construction-time
             snapshot) and re-armed with ``injector`` instead of
-            constructing -- and re-compiling -- a fresh CPU.  Results
+            constructing a fresh CPU, so the instruction closures
+            compiled by earlier trials are reused.  Results
             are bit-identical either way; the reused CPU must have been
             built with the same machine ``config`` (a mismatch raises
             ``ValueError`` rather than silently running with the old
@@ -153,7 +155,8 @@ def trial_seeds(seed: int, n_trials: int) -> list[np.random.SeedSequence]:
 def _point_cpu(kernel: KernelInstance,
                config: MachineConfig | None,
                injector: FaultInjector) -> Cpu:
-    """Budget-configured CPU, compiled once and reset between trials."""
+    """Budget-configured CPU, built once per point and reset between
+    trials (closures compiled on first fetch stay cached)."""
     base_config = config or MachineConfig()
     budget = trial_budget(kernel, base_config)
     return Cpu(kernel.program, config=base_config.with_max_cycles(budget),

@@ -189,7 +189,8 @@ def sweep_frequencies(kernel: KernelInstance,
 
     Args:
         kernel: benchmark instance (reused across points; the CPU is
-            compiled once per point and reset between trials).
+            built once per point and reset between trials, keeping the
+            instructions it compiled on first fetch).
         injector_factory: builds an injector for a frequency and RNG.
         frequencies_hz: frequencies to sweep (any order; stored sorted).
         n_trials: Monte-Carlo trials per frequency.

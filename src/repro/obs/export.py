@@ -10,7 +10,9 @@ turns that into:
   ``"X"`` events plus process metadata and ``"C"`` counter events)
   loadable in Perfetto / ``chrome://tracing``;
 * :func:`render_stats` -- an aggregate text table: top spans by total
-  and self time, counter totals with store hit rate, the pool's
+  and self time, counter totals with store hit rate (hits over hits
+  plus misses; ``store.readback`` reads of just-computed artifacts are
+  listed but not counted as hits), the pool's
   queue-wait vs compute split, and the thread-shard per-thread busy
   share.
 
@@ -306,6 +308,8 @@ def render_stats(records: list[dict], limit: int = 20) -> str:
             text = f"{value:,.0f}" if value == int(value) \
                 else f"{value:,.2f}"
             lines.append(f"{name:28s} {text:>12s}")
+        # Read-backs of artifacts the run itself just computed saved
+        # no work, so they stay out of the hit rate.
         hits = totals.get("store.hit", 0)
         misses = totals.get("store.miss", 0)
         if hits or misses:

@@ -8,11 +8,20 @@ in which an instruction occupies the execute (EX) stage is simply its
 retire index, so the simulator advances one instruction per cycle and
 exposes the EX stage to the fault-injection framework at that point.
 
-For speed, the program image is *pre-compiled* once: every instruction
-word becomes a Python closure specialized on its decoded operands
-(jump targets resolved to absolute indices, r0 writes elided, ...).
-The hot loop then only dispatches closures and manages the branch
-delay slot.
+For speed, each instruction word is compiled on its first fetch into a
+Python closure specialized on its decoded operands (jump targets
+resolved to absolute indices, r0 writes elided, ...) and cached for
+every later fetch.  The hot loop then only dispatches closures and
+manages the branch delay slot.  Compiling lazily keeps construction
+cost proportional to the program text: an image is 64 KB of mostly
+zero padding below the data base, of which a kernel fetches only a
+few dozen words.  An undecodable word therefore only aborts a run
+that actually fetches it.
+
+The closures share mutable run state (compare flag, FI window, active
+hook, injector) through a small :class:`_RunState` object rather than
+through the :class:`Cpu`, so no reference cycle ties a CPU to its own
+code and a dropped CPU is freed by reference counting at once.
 
 Fault injection contract: while the FI window is open (between the
 ``l.nop NOP_FI_ON`` / ``NOP_FI_OFF`` kernel markers) every FI-eligible
@@ -52,6 +61,23 @@ def _signed(value: int) -> int:
     return value - 0x100000000 if value & _SIGN_BIT else value
 
 
+class _RunState:
+    """Run state the compiled instruction closures read and write.
+
+    ``flag`` is the compare flag, ``fi_window`` whether the FI window
+    is open, ``hook`` the injector's ``on_alu`` while it is, and
+    ``injector`` the armed fault injector.
+    """
+
+    __slots__ = ("flag", "hook", "fi_window", "injector")
+
+    def __init__(self, injector) -> None:
+        self.flag = False
+        self.hook: Callable[[str, int], int] | None = None
+        self.fi_window = False
+        self.injector = injector
+
+
 class Cpu:
     """The instruction set simulator.
 
@@ -71,70 +97,82 @@ class Cpu:
                  injector=None, profile: bool = False, trace_hook=None):
         self.config = config or MachineConfig()
         self.program = program
-        self.injector = injector
         self.profile = profile
         self.trace_hook = trace_hook
         self.regs: list[int] = [0] * 32
-        self.flag = False
+        self._state = _RunState(injector)
         self.dmem = DataMemory(self.config.dmem_base, self.config.dmem_size)
         self.reports: list[int] = []
         self.cycles = 0
         self.kernel_cycles = 0
-        self._fi_window = False
-        self._active_hook: Callable[[str, int], int] | None = None
         self._class_counts: dict[str, int] = {}
         self._code: list[Callable[[], int | None] | None] = []
         self._imem_words: list[int] = []
         self._load_program()
         # Snapshot the loaded data image once: reset() restores it
-        # instead of re-splitting the program and re-compiling every
-        # instruction closure (the Monte-Carlo trial-reuse fast path).
+        # instead of re-splitting the program image, and the closures
+        # compiled so far stay cached (the Monte-Carlo trial-reuse
+        # fast path).
         self._dmem_image = self.dmem.snapshot()
 
+    @property
+    def injector(self):
+        """The armed fault injector (``None`` runs fault-free)."""
+        return self._state.injector
+
+    @injector.setter
+    def injector(self, injector) -> None:
+        self._state.injector = injector
+
     # ------------------------------------------------------------------
-    # Program loading and pre-compilation
+    # Program loading and compilation on first fetch
     # ------------------------------------------------------------------
 
     def _load_program(self) -> None:
-        cfg = self.config
-        program = self.program
-        self._imem_words = []
-        for index, word in enumerate(program.words):
-            address = program.base_address + 4 * index
-            if address < cfg.dmem_base:
-                self._imem_words.append(word)
-            else:
-                self.dmem.store_word(address, word)
-        self._compile_all()
+        """Split the image at the data base: text below, data above.
 
-    def _compile_all(self) -> None:
-        self._code = []
-        for index, word in enumerate(self._imem_words):
-            address = self.config.imem_base + 4 * index
-            try:
-                decoded = decode(word)
-            except EncodingError:
-                self._code.append(None)
-                continue
-            self._code.append(self._compile(decoded, address))
+        Only the split happens here; instruction words are compiled
+        when first fetched (:meth:`_compile_at`).
+        """
+        program = self.program
+        words = program.words
+        below = -(-(self.config.dmem_base - program.base_address) // 4)
+        split = min(len(words), max(0, below))
+        self._imem_words = words[:split]
+        if split < len(words):
+            self.dmem.write_words(program.base_address + 4 * split,
+                                  words[split:])
+        self._code = [None] * split
+
+    def _compile_at(self, index: int) -> Callable[[], int | None]:
+        """Compile and cache the instruction word at ``index``."""
+        address = self.config.imem_base + 4 * index
+        try:
+            decoded = decode(self._imem_words[index])
+        except EncodingError:
+            raise IllegalInstruction(f"at {address:#x}") from None
+        op = self._code[index] = self._compile(decoded, address)
+        return op
 
     def reset(self) -> None:
         """Restore architectural state for a fresh run.
 
-        Restores from the construction-time snapshot instead of
-        re-decoding and re-compiling the program image.  All state
-        containers are mutated in place -- the compiled instruction
-        closures hold references to ``regs``, ``reports``, ``dmem`` and
-        ``_class_counts``, so rebinding any of them would silently
-        disconnect the compiled code from the architectural state.
+        Restores from the construction-time snapshot; the instruction
+        closures compiled so far stay cached.  All state containers
+        are mutated in place -- the compiled instruction closures hold
+        references to ``regs``, ``reports``, ``dmem``,
+        ``_class_counts`` and the run state, so rebinding any of them
+        would silently disconnect the compiled code from the
+        architectural state.
         """
         self.regs[:] = [0] * 32
-        self.flag = False
         self.reports.clear()
         self.cycles = 0
         self.kernel_cycles = 0
-        self._fi_window = False
-        self._active_hook = None
+        state = self._state
+        state.flag = False
+        state.fi_window = False
+        state.hook = None
         self._class_counts.clear()
         self.dmem.restore(self._dmem_image)
 
@@ -190,6 +228,7 @@ class Cpu:
         if entry % 4:
             raise PcOutOfRange(f"entry {entry:#x} not word aligned")
         code = self._code
+        state = self._state
         size = len(code)
         pc_index = (entry - self.config.imem_base) // 4
         pending = -1
@@ -205,11 +244,10 @@ class Cpu:
                         f"pc {self.config.imem_base + 4 * pc_index:#x}")
                 op = code[pc_index]
                 if op is None:
-                    raise IllegalInstruction(
-                        f"at {self.config.imem_base + 4 * pc_index:#x}")
+                    op = self._compile_at(pc_index)
                 target = op()
                 cycles += 1
-                if self._fi_window:
+                if state.fi_window:
                     kernel_cycles += 1
                 if pending >= 0:
                     if target is not None:
@@ -224,19 +262,6 @@ class Cpu:
         finally:
             self.cycles = cycles
             self.kernel_cycles = kernel_cycles
-
-    # ------------------------------------------------------------------
-    # FI window plumbing
-    # ------------------------------------------------------------------
-
-    def _fi_on(self) -> None:
-        self._fi_window = True
-        if self.injector is not None:
-            self._active_hook = self.injector.on_alu
-
-    def _fi_off(self) -> None:
-        self._fi_window = False
-        self._active_hook = None
 
     # ------------------------------------------------------------------
     # Instruction compilation
@@ -270,7 +295,7 @@ class Cpu:
         mnemonic = spec.mnemonic
         regs = self.regs
         dmem = self.dmem
-        cpu = self
+        state = self._state
         rd, ra, rb, imm = decoded.rd, decoded.ra, decoded.rb, decoded.imm
 
         def write(value: int) -> None:
@@ -284,7 +309,7 @@ class Cpu:
                 # Result discarded architecturally, but the instruction
                 # still occupies EX and is still counted by the hook.
                 def op_alu_r0():
-                    hook = cpu._active_hook
+                    hook = state.hook
                     result = compute()
                     if hook is not None:
                         hook(mnemonic, result)
@@ -292,7 +317,7 @@ class Cpu:
                 return op_alu_r0
 
             def op_alu():
-                hook = cpu._active_hook
+                hook = state.hook
                 result = compute()
                 if hook is not None:
                     result = hook(mnemonic, result)
@@ -339,7 +364,7 @@ class Cpu:
             wanted = mnemonic == "l.bf"
 
             def op_branch():
-                if cpu.flag == wanted:
+                if state.flag == wanted:
                     return target_index
                 return None
             return op_branch
@@ -357,12 +382,15 @@ class Cpu:
                 return op_report
             if imm == NOP_FI_ON:
                 def op_fi_on():
-                    cpu._fi_on()
+                    state.fi_window = True
+                    if state.injector is not None:
+                        state.hook = state.injector.on_alu
                     return None
                 return op_fi_on
             if imm == NOP_FI_OFF:
                 def op_fi_off():
-                    cpu._fi_off()
+                    state.fi_window = False
+                    state.hook = None
                     return None
                 return op_fi_off
 
@@ -463,7 +491,7 @@ class Cpu:
     def _compile_compare(self, mnemonic: str, ra: int, rb: int,
                          imm: int) -> Callable[[], None]:
         regs = self.regs
-        cpu = self
+        state = self._state
         immediate = mnemonic.endswith("i")
         kind = mnemonic[4:-1] if immediate else mnemonic[4:]
 
@@ -493,6 +521,6 @@ class Cpu:
 
         def op_compare():
             a, b = get_operands()
-            cpu.flag = test(a, b)
+            state.flag = test(a, b)
             return None
         return op_compare

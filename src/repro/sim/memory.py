@@ -2,7 +2,8 @@
 
 The case-study core uses separate single-cycle instruction and data
 SRAMs (a Harvard organization).  This module models the *data* memory;
-instruction memory is the pre-decoded program image held by the CPU.
+instruction memory is the program image held by the CPU, decoded on
+first fetch.
 
 The memory is byte-addressable and big-endian, like the real OR1K.
 All accesses are bounds-checked: fault-corrupted pointers that escape
@@ -11,6 +12,8 @@ simulator reports as a failed (non-finishing) run.
 """
 
 from __future__ import annotations
+
+import struct
 
 from repro.sim.exceptions import MemoryFault, MisalignedAccess
 
@@ -88,9 +91,20 @@ class DataMemory:
     # -- bulk helpers for loading inputs and reading results -------------
 
     def write_words(self, address: int, values: list[int]) -> None:
-        """Store a list of 32-bit words starting at ``address``."""
-        for index, value in enumerate(values):
-            self.store_word(address + 4 * index, value)
+        """Store a list of 32-bit words starting at ``address``.
+
+        One bounds check and one bulk copy for the whole range; an
+        out-of-range or misaligned range raises before anything is
+        written.
+        """
+        if not values:
+            return
+        if address & 3:
+            raise MisalignedAccess(f"word store at {address:#x}")
+        width = 4 * len(values)
+        off = self._offset(address, width)
+        self._bytes[off:off + width] = struct.pack(
+            f">{len(values)}I", *[value & MASK32 for value in values])
 
     def read_words(self, address: int, count: int) -> list[int]:
         """Load ``count`` consecutive 32-bit words from ``address``."""

@@ -212,7 +212,7 @@ class ResultStore:
         """Run a write-path step, absorbing transient OSErrors."""
         return self.retry.run(what, func, log=_LOG)
 
-    def get(self, key_payload: dict):
+    def get(self, key_payload: dict, readback: bool = False):
         """Load the artifact stored under a key, or None on any miss.
 
         Corrupted files, key mismatches (hash collisions, tampering),
@@ -220,13 +220,21 @@ class ResultStore:
         misses -- and any of those found *on disk* is quarantined with
         a logged reason rather than silently skipped, so the caller's
         recompute does not re-hit the same poison.
+
+        ``readback`` marks a read of an artifact the caller's own run
+        just computed and put: a found artifact then counts as
+        ``store.readback`` instead of ``store.hit``, so the hit
+        counter only counts work the store actually saved.
         """
         with obs.span("store.get",
                       kind=key_payload.get("kind", "")) as rec:
             artifact = self._get(key_payload)
             hit = artifact is not None
             rec.set(hit=hit)
-        obs.counter("store.hit" if hit else "store.miss")
+        if not hit:
+            obs.counter("store.miss")
+        else:
+            obs.counter("store.readback" if readback else "store.hit")
         return artifact
 
     def _get(self, key_payload: dict):

@@ -189,6 +189,33 @@ class TestCampaignWarm:
         assert report.cached == report.total
         assert report.rendered == fig7_truth
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_store_counters_tell_readbacks_from_hits(self, store,
+                                                     tmp_path, jobs):
+        """Cold: every unit read is a readback; warm: every one a hit."""
+        from repro import obs
+
+        def traced_run(name):
+            trace = tmp_path / f"{name}.jsonl"
+            obs.configure(trace)
+            try:
+                report = run_campaign("fig7", TINY, seed=SEED,
+                                      store=store, jobs=jobs)
+            finally:
+                obs.shutdown()
+            return report, obs.counter_totals(obs.read_trace(trace))
+
+        cold, totals = traced_run("cold")
+        assert cold.computed == cold.total
+        assert totals.get("store.hit", 0) == 0
+        assert totals["store.readback"] == cold.total
+        warm, totals = traced_run("warm")
+        assert warm.cached == warm.total
+        # Every unit, plus any shared substrate the plans load.
+        assert totals["store.hit"] >= warm.total
+        assert totals.get("store.miss", 0) == 0
+        assert totals.get("store.readback", 0) == 0
+
 
 class TestOtherPlans:
     def test_fig5_plan_shape(self, ctx):

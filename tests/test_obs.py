@@ -230,6 +230,7 @@ class TestExport:
                 pass
         obs.counter("store.hit", 3)
         obs.counter("store.miss", 1)
+        obs.counter("store.readback", 4)
         obs.shutdown()
         return obs.read_trace(trace)
 
@@ -248,7 +249,8 @@ class TestExport:
         assert any(e["ph"] == "M" for e in events)
         counters = {e["name"]: e["args"]["value"]
                     for e in events if e["ph"] == "C"}
-        assert counters == {"store.hit": 3, "store.miss": 1}
+        assert counters == {"store.hit": 3, "store.miss": 1,
+                            "store.readback": 4}
 
     def test_span_aggregates_self_time(self, tmp_path):
         rows = {row["name"]: row
@@ -264,7 +266,8 @@ class TestExport:
     def test_render_stats_table(self, tmp_path):
         text = obs.render_stats(self.make_trace(tmp_path))
         assert "campaign.dispatch" in text
-        assert "store.hit" in text
+        assert "store.hit" in text and "store.readback" in text
+        # Read-backs are not hits: the rate is 3 / (3 + 1).
         assert "store hit rate" in text and "75.0%" in text
 
     def test_unit_times_accumulate_attempts(self, tmp_path):

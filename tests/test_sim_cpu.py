@@ -1,11 +1,17 @@
 """Unit tests for the cycle-accurate CPU: semantics, control, faults."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.bench.suite import BENCHMARK_NAMES, quick_kernel
 from repro.fi.base import FaultInjector
 from repro.isa.assembler import assemble
 from repro.sim.cpu import Cpu
+from repro.sim.exceptions import IllegalInstruction
 from repro.sim.machine import DATA_BASE, MachineConfig
+from repro.sim.tracing import Tracer
 
 
 def run_program(source: str, entry: str = "start", **cpu_kwargs):
@@ -422,3 +428,75 @@ class TestProfiling:
         second = cpu.run("start")
         assert first.exit_code == second.exit_code == 9
         assert second.cycles == first.cycles
+
+
+def _force_compile_all(cpu: Cpu) -> None:
+    """Compile every decodable image word up front (the eager scheme)."""
+    for index in range(len(cpu._code)):
+        try:
+            cpu._compile_at(index)
+        except IllegalInstruction:
+            pass
+
+
+class TestCompileOnFetch:
+    UNDECODABLE = """
+        start:
+            l.addi r3, r0, 5
+            l.nop 0x1
+        data:
+            .word 0xfc000000
+        """
+
+    def test_unfetched_undecodable_word_does_not_abort(self):
+        cpu, result = run_program(self.UNDECODABLE)
+        assert result.finished and result.exit_code == 5
+
+    def test_fetched_undecodable_word_raises_illegal_instruction(self):
+        cpu = Cpu(assemble(self.UNDECODABLE))
+        address = cpu.program.symbol("data")
+        with pytest.raises(IllegalInstruction) as info:
+            cpu._run_loop(address, budget=10)
+        assert str(info.value) == f"at {address:#x}"
+        assert cpu.run("data").abort_reason == "illegal-instruction"
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_profile_and_trace_match_eager_compile(self, name):
+        kernel = quick_kernel(name)
+        runs = []
+        for eager in (False, True):
+            tracer = Tracer()
+            cpu = Cpu(kernel.program, profile=True, trace_hook=tracer)
+            if eager:
+                _force_compile_all(cpu)
+            result = cpu.run(kernel.entry)
+            assert result.finished
+            runs.append((result, [(entry.address, entry.decoded)
+                                  for entry in tracer.entries]))
+        (lazy, lazy_trace), (eager, eager_trace) = runs
+        assert lazy.class_counts == eager.class_counts
+        assert lazy.cycles == eager.cycles
+        assert lazy_trace == eager_trace
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_only_fetched_words_are_compiled(self, name):
+        kernel = quick_kernel(name)
+        cpu = Cpu(kernel.program)
+        assert cpu.run(kernel.entry).finished
+        text_words = len(kernel.program.line_map)
+        compiled = sum(op is not None for op in cpu._code)
+        assert 0 < compiled <= text_words + 1 < len(cpu._code)
+
+    def test_dropped_cpu_is_freed_without_the_cycle_collector(self):
+        kernel = quick_kernel("median")
+        gc.disable()
+        try:
+            cpu = Cpu(kernel.program, injector=_EveryCycleFlipper())
+            cpu.run(kernel.entry)
+            cpu.reset()
+            cpu.run(kernel.entry)
+            ref = weakref.ref(cpu)
+            del cpu
+            assert ref() is None
+        finally:
+            gc.enable()

@@ -84,6 +84,21 @@ class TestBulk:
         mem.write_words(0x1020, values)
         assert mem.read_words(0x1020, 4) == values
 
+    def test_bulk_write_matches_word_stores(self, mem):
+        values = [0x12345678, -1, 1 << 33 | 7, 0]
+        reference = DataMemory(base=0x1000, size=0x100)
+        for index, value in enumerate(values):
+            reference.store_word(0x10F0 + 4 * index, value)
+        mem.write_words(0x10F0, values)
+        assert mem.snapshot() == reference.snapshot()
+
+    def test_bulk_write_checks_the_whole_range(self, mem):
+        with pytest.raises(MemoryFault):
+            mem.write_words(0x10F8, [1, 2, 3])
+        with pytest.raises(MisalignedAccess):
+            mem.write_words(0x1002, [1])
+        assert mem.snapshot() == bytes(0x100)
+
     def test_clear(self, mem):
         mem.store_word(0x1000, 99)
         mem.clear()
