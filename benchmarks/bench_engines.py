@@ -28,12 +28,14 @@ from repro.bench.suite import build_kernel
 from repro.experiments import fig2, fig4, fig7
 from repro.experiments.context import ExperimentContext
 from repro.fi.base import FaultInjector
+from repro.fi.model_c import StatisticalInjector
 from repro.mc.runner import run_point, run_trial
 from repro.netlist.plan import F32_ATOL, F32_RTOL
 from repro.sim.cpu import Cpu
 from repro.sim.exceptions import IllegalInstruction
 from repro.store import ResultStore
 from repro.timing.dta import run_dta
+from repro.timing.noise import VoltageNoise
 
 #: Block width pinned by the acceptance criterion of the engines PR.
 #: ``REPRO_BENCH_BLOCK`` shrinks it for the reduced-size regression
@@ -503,3 +505,49 @@ def test_run_point_pool(benchmark):
     _record(f"run_point[median,{n_trials}trials,pool]", pooled_s,
             forked_s, serial_ms=round(serial_s * 1e3, 3),
             vs_serial=round(serial_s / pooled_s, 2), workers=2)
+
+
+def test_iss_native_run_point(benchmark, ctx, monkeypatch):
+    """Native ISS + FI kernel vs the Python ISS on one paper-scale point.
+
+    ``run_point`` of the paper-size median kernel under model C, on
+    the native kernel against the same call with the toolchain masked
+    (``REPRO_NO_CC``, the Python ISS).  The trials must be identical.
+    707 MHz sits just below the kernel's failure cliff: every ALU op
+    takes model C's whole path (noise read, grid lookup, sampler
+    draw) and every trial runs to completion.  40 trials amortize the
+    per-point sampler builds, which both paths do in Python.  Like the ``run_point`` row,
+    the committed ratio is the window with the median ratio of three;
+    each window takes the fastest of three native calls and one Python
+    call.
+    """
+    reason = native.iss_unavailable_reason()
+    if reason is not None:
+        pytest.skip(f"native ISS unavailable ({reason})")
+    kernel = build_kernel("median", "paper")
+    characterization = ctx.characterization(0.7)
+    noise = VoltageNoise(0.01)
+    n_trials = 40
+
+    def factory(rng):
+        return StatisticalInjector(characterization, 707e6, noise,
+                                   vdd_model=ctx.vdd_model, rng=rng)
+
+    def point():
+        return run_point(kernel, factory, n_trials=n_trials, seed=3)
+
+    native_point = benchmark(point)
+    windows = []
+    for _ in range(3):
+        native_s = _time_best(point, reps=3)
+        with monkeypatch.context() as patch:
+            patch.setenv("REPRO_NO_CC", "1")
+            start = time.perf_counter()
+            python_point = point()
+            python_s = time.perf_counter() - start
+        windows.append((python_s / native_s, native_s, python_s))
+    assert python_point.trials == native_point.trials
+    assert all(trial.finished and trial.alu_cycles
+               for trial in native_point.trials)
+    _, native_s, python_s = sorted(windows)[1]
+    _record("iss[median,paper,modelC]", native_s, python_s)

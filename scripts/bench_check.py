@@ -6,7 +6,8 @@ width, only the engine rows -- the warm-store figure rows measure
 store plumbing, not engines) into a scratch JSON, then compares every
 re-measured row's speedup against the committed trajectory:
 
-* Pure-compute rows (propagate/run_dta/run_point engine paths) must
+* Pure-compute rows (propagate/run_dta/run_point engine paths and the
+  native-vs-Python ISS row ``iss[...]``) must
   hold ``speedup >= (1 - TOLERANCE) * committed`` with the default
   20 % tolerance: an engine change that costs more than that fails
   the build.
@@ -41,7 +42,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 #: Rows rerun at reduced size (warm-store figure rows excluded: they
 #: benchmark the result store, which has its own smoke coverage).
-ROW_FILTER = "propagate or run_dta or run_point"
+ROW_FILTER = "propagate or run_dta or run_point or iss"
 
 TOLERANCE = float(os.environ.get("REPRO_BENCH_CHECK_TOL", "0.2"))
 POOL_TOLERANCE = float(os.environ.get("REPRO_BENCH_CHECK_POOL_TOL",
@@ -102,9 +103,10 @@ def main() -> int:
     for name in sorted(baseline):
         if name in measured or not any(
                 token in name for token
-                in ("propagate", "run_dta", "run_point")):
+                in ("propagate", "run_dta", "run_point", "iss[")):
             continue
-        if "native" in name and not native_here:
+        if ("native" in name or name.startswith("iss[")) \
+                and not native_here:
             skipped_native.append(name)
             continue
         missing.append(name)

@@ -16,6 +16,10 @@ Proves, in a throwaway cache directory, the backend's whole lifecycle:
 4. **Mask**: a subprocess with ``REPRO_NO_CC=1`` reports the backend
    unavailable and still runs the numpy engines -- the toolchain-free
    fallback that tier-1 relies on.
+5. **ISS library**: the native ISS kernel builds into the same cache,
+   runs a benchmark kernel to the Python ISS's exact result, is a
+   cache hit in a fresh process, and ``REPRO_NO_CC=1`` runs the
+   Python ISS instead.
 
 Where this machine has no working C compiler at all, the smoke prints
 the probe's reason and exits 0 -- the backend is optional by contract,
@@ -51,6 +55,60 @@ def _propagate(engine: str):
                                   (a[1:], b[1:]), 0.7, glitch_model,
                                   engine=engine))
     return outs
+
+
+def _subprocess(code: str, **env) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, **env,
+             "PYTHONPATH": str(REPO / "src")
+             + (os.pathsep + os.environ["PYTHONPATH"]
+                if os.environ.get("PYTHONPATH") else "")},
+        cwd=REPO)
+
+
+def _iss_lifecycle() -> None:
+    """Step 5: build, run, cache hit and mask of the ISS library."""
+    from repro.bench.suite import quick_kernel
+    from repro.sim import native_iss
+    from repro.sim.cpu import Cpu
+
+    built = build_mod.ensure_library(native.ISS_LIBRARY)
+    assert built.built and built.path.name.startswith("isskern-")
+    kernel = quick_kernel("median")
+    cpu = Cpu(kernel.program)
+    assert native_iss.fallback_reason(cpu) is None
+    fast = cpu.run(kernel.entry)
+    os.environ["REPRO_NO_CC"] = "1"
+    try:
+        spec_cpu = Cpu(kernel.program)
+        spec = spec_cpu.run(kernel.entry)
+    finally:
+        del os.environ["REPRO_NO_CC"]
+    assert fast == spec and cpu.regs == spec_cpu.regs
+    assert "_native_image" not in spec_cpu.__dict__
+    print(f"native-smoke: built {built.path.name}; the native ISS "
+          f"matches the Python ISS ({fast.cycles} cycles)")
+    hit = _subprocess(
+        "from repro import native;"
+        "from repro.native import build;"
+        "assert native.iss_unavailable_reason() is None;"
+        "raise SystemExit(build.build_count)")
+    assert hit.returncode == 0, \
+        "a fresh process must load the cached ISS library, not rebuild"
+    masked = _subprocess(
+        "from repro.bench.suite import quick_kernel;"
+        "from repro.sim import native_iss;"
+        "from repro.sim.cpu import Cpu;"
+        "k = quick_kernel('median'); cpu = Cpu(k.program);"
+        "assert native_iss.fallback_reason(cpu) == 'masked';"
+        "assert cpu.run(k.entry).finished;"
+        "assert '_native_image' not in cpu.__dict__",
+        REPRO_NO_CC="1")
+    assert masked.returncode == 0, \
+        "REPRO_NO_CC must run the Python ISS"
+    print("native-smoke: ISS library is a cache hit in a fresh process; "
+          "REPRO_NO_CC runs the Python ISS")
 
 
 def main() -> int:
@@ -123,6 +181,8 @@ def main() -> int:
             "REPRO_NO_CC must fall back to the numpy engines"
         print("native-smoke: REPRO_NO_CC masks the backend and numpy "
               "serves the request")
+
+        _iss_lifecycle()
 
     print("native-smoke: OK")
     return 0

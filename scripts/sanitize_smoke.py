@@ -1,12 +1,14 @@
 #!/usr/bin/env python
 """Native equivalence under ASan+UBSan (``make sanitize-smoke``).
 
-The native backend is ~400 lines of pointer-walking C driven by ctypes
+The native backend (the netlist kernels and the native ISS) is
+pointer-walking C driven by ctypes
 -- exactly the code a memory bug hides in without crashing.  This
 smoke rebuilds the kernels with ``-fsanitize=address,undefined`` (the
 ``REPRO_CC_SANITIZE=1`` build variant, which lives under its own cache
 key with a ``-san`` tag) and re-runs the native engine-equivalence
-tests under the instrumented library, so any out-of-bounds read,
+tests and the ISS differential suite (``tests/test_iss_native.py``)
+under the instrumented libraries, so any out-of-bounds read,
 overflow, or misaligned access aborts loudly instead of corrupting an
 arrival in the 12th decimal.
 
@@ -116,19 +118,20 @@ def main() -> int:
         print(f"sanitize-smoke: built + loaded {name} "
               f"under {Path(preload[0]).name} ({probe.version})")
 
-        # 4. The actual gate: the native equivalence suite, running
-        # the instrumented kernels.  Bit-identity asserts still hold
-        # (sanitizers instrument around the arithmetic, not in it),
-        # and any memory error aborts the run.
+        # 4. The actual gate: the native equivalence suite and the
+        # native-ISS differential suite, running the instrumented
+        # kernels.  Bit-identity asserts still hold (sanitizers
+        # instrument around the arithmetic, not in it), and any memory
+        # error aborts the run.
         tests = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q",
              "tests/test_engine_equivalence.py", "-k", "native",
-             "tests/test_native_backend.py"],
+             "tests/test_native_backend.py", "tests/test_iss_native.py"],
             env=_env(tmp, preload_path), cwd=REPO)
         assert tests.returncode == 0, \
             "native equivalence tests failed under ASan/UBSan"
-        print("sanitize-smoke: native equivalence suite green under "
-              "ASan+UBSan")
+        print("sanitize-smoke: native equivalence and ISS differential "
+              "suites green under ASan+UBSan")
 
     print("sanitize-smoke: OK")
     return 0

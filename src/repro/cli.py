@@ -624,6 +624,27 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{'':16s} {'':8s}   cache dir "
                       f"{status['cache_dir']} (numpy engines serve "
                       f"this dtype instead)")
+        # The native ISS is not an engine: it is bit-exact against the
+        # Python ISS and runs whenever it can, whatever --engine says.
+        status = native.native_status(native.ISS_LIBRARY)
+        name = "iss-kernel"
+        if status["available"] and status["runtime_failure"]:
+            strict_fail = True
+            print(f"{name:16s} {'':8s} DEGRADED to the Python ISS: "
+                  f"{status['runtime_failure']}")
+        elif status["available"]:
+            cached = "cached" if status["cached"] else "not built yet"
+            print(f"{name:16s} {'':8s} available (native ISS + FI "
+                  f"kernel, bit-exact against the Python ISS; not an "
+                  f"engine choice)")
+            print(f"{'':16s} {'':8s}   library {status['library']} "
+                  f"[{cached}]")
+            print(f"{'':16s} {'':8s}   source hash "
+                  f"{status['source_hash'][:16]}")
+        else:
+            strict_fail = True
+            print(f"{name:16s} {'':8s} not in use: {status['reason']} "
+                  f"(the Python ISS runs every simulation)")
         # Thread-shard substrate: always available (stdlib threads);
         # what varies per build is whether Python code overlaps too.
         tpool = parallel.get_thread_pool()

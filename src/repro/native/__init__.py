@@ -22,18 +22,32 @@ Engine preference is explicit at every API level (``engine=`` on the
 contexts and campaign calls, ``--engine`` on the CLI) plus one
 process-global default (:func:`set_backend`) that forked pool and
 campaign workers inherit.
+
+The same build machinery also serves a second library: the native ISS
+and fault-injection kernel (:mod:`repro.native.iss_source`, kind
+:data:`ISS_LIBRARY`).  It is **not** an engine and ignores the engine
+preference: it is bit-exact against the Python ISS in
+:mod:`repro.sim.cpu`, which stays the executable spec, so
+:meth:`Cpu.run <repro.sim.cpu.Cpu.run>` uses it wherever
+:func:`iss_unavailable_reason` is None.  It is built and loaded on the
+first run that can use it, never at import time; a compile or dlopen
+failure latches (:func:`iss_failure`) and every later run of the
+process takes the Python ISS.
 """
 
 from __future__ import annotations
 
 from repro.native.build import (
+    ISS_LIBRARY,
     BuildResult,
     CompilerProbe,
+    IssKernels,
     Kernels,
     NativeBuildError,
     cache_dir,
     ensure_library,
     library_name,
+    library_source,
     load_kernels,
     masked_reason,
     probe_compiler,
@@ -54,6 +68,8 @@ __all__ = [
     "BuildResult",
     "BusTables",
     "CompilerProbe",
+    "ISS_LIBRARY",
+    "IssKernels",
     "KERNEL_ABI",
     "Kernels",
     "NATIVE_ENGINES",
@@ -61,11 +77,16 @@ __all__ = [
     "NativeDesc",
     "bus_tables",
     "cache_dir",
+    "clear_iss_state",
     "clear_runtime_failure",
     "engine_for",
     "ensure_library",
     "get_backend",
+    "iss_failure",
+    "iss_kernels",
+    "iss_unavailable_reason",
     "library_name",
+    "library_source",
     "load_kernels",
     "masked_reason",
     "native_available",
@@ -121,6 +142,59 @@ def runtime_failure() -> str | None:
 def clear_runtime_failure() -> None:
     global _RUNTIME_FAILURE
     _RUNTIME_FAILURE = None
+
+
+#: The loaded ISS library of this process, and the first ISS compile
+#: or dlopen failure (latched like ``_RUNTIME_FAILURE``, but it only
+#: sends the ISS to Python; the netlist engines are unaffected).
+_ISS: IssKernels | None = None
+_ISS_FAILURE: str | None = None
+
+
+def iss_failure() -> str | None:
+    return _ISS_FAILURE
+
+
+def clear_iss_state() -> None:
+    """Forget the loaded ISS library and any latched failure."""
+    global _ISS, _ISS_FAILURE
+    _ISS = None
+    _ISS_FAILURE = None
+
+
+def iss_unavailable_reason() -> str | None:
+    """Short tag for why the native ISS cannot run, or None if it can.
+
+    The first call that finds the toolchain usable builds (or reuses
+    the cached) library and loads it; a failure is logged and latched
+    as ``"build-failed"`` for the rest of the process.
+    """
+    global _ISS, _ISS_FAILURE
+    if masked_reason():
+        return "masked"
+    if _ISS is not None:
+        return None
+    if _ISS_FAILURE is not None:
+        return "build-failed"
+    if not probe_compiler().ok:
+        return "no-compiler"
+    try:
+        _ISS = load_kernels(ISS_LIBRARY)
+    except (NativeBuildError, OSError, AttributeError) as error:
+        import logging
+        logging.getLogger("repro.native").warning(
+            "native ISS unavailable for the rest of this process, "
+            "runs use the Python ISS: %s", error)
+        _ISS_FAILURE = str(error)
+        return "build-failed"
+    return None
+
+
+def iss_kernels() -> IssKernels:
+    """The loaded ISS library (after :func:`iss_unavailable_reason`
+    returned None)."""
+    assert _ISS is not None, "native ISS not loaded"
+    return _ISS
 
 
 def set_backend(name: str) -> None:
@@ -179,7 +253,8 @@ def engine_for(timing_dtype: str, backend: str | None = None) -> str:
 
 
 def native_status(timing_dtype: str = "float64") -> dict:
-    """Diagnostic record for one native engine (``repro engines``).
+    """Diagnostic record for one native library (``repro engines``):
+    a netlist engine's timing dtype or :data:`ISS_LIBRARY`.
 
     Always answers -- available or not -- with the compiler probe
     outcome, the cache path the library would live at, and the source
@@ -189,7 +264,8 @@ def native_status(timing_dtype: str = "float64") -> dict:
     record: dict = {
         "available": reason is None,
         "reason": reason,
-        "runtime_failure": _RUNTIME_FAILURE,
+        "runtime_failure": (_ISS_FAILURE if timing_dtype == ISS_LIBRARY
+                            else _RUNTIME_FAILURE),
         "cache_dir": str(cache_dir()),
         "compiler": None,
         "compiler_version": None,
@@ -202,7 +278,7 @@ def native_status(timing_dtype: str = "float64") -> dict:
         if probe.ok:
             record["compiler"] = probe.exe
             record["compiler_version"] = probe.version
-            sha = source_hash(render_source(timing_dtype),
+            sha = source_hash(library_source(timing_dtype),
                               probe.version or "", probe.cflags)
             path = cache_dir() / library_name(timing_dtype, sha)
             record["source_hash"] = sha

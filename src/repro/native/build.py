@@ -19,6 +19,11 @@ toolchain.
 
 Build failures raise :class:`NativeBuildError` with the compiler's
 stderr; they are bugs (the probe passed), not availability conditions.
+
+Two libraries share this machinery, keyed by a *kind*: the netlist
+level kernels per timing dtype (``"float64"``, ``"float32"``) and the
+native ISS + fault-injection kernel (``"iss"``, see
+:mod:`repro.native.iss_source`).
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro import faults, obs
+from repro.native.iss_source import ISS_ABI, render_iss_source
 from repro.native.source import KERNEL_ABI, render_source, source_hash
 
 _LOG = logging.getLogger("repro.native")
@@ -224,16 +230,33 @@ def _try_compiler(exe: str) -> CompilerProbe:
     return CompilerProbe(ok=False, reason=reason)
 
 
+#: Library kind of the native ISS kernel (the other kinds are the
+#: netlist kernels' timing dtypes).
+ISS_LIBRARY = "iss"
+
+#: Library kind -> file-name stem in the cache directory.
+_STEMS = {"float64": "levelkern-f64", "float32": "levelkern-f32",
+          ISS_LIBRARY: "isskern"}
+
+
+def library_source(kind: str) -> str:
+    """C source of one library kind."""
+    if kind == ISS_LIBRARY:
+        return render_iss_source()
+    return render_source(kind)
+
+
 def library_name(timing_dtype: str, sha256: str) -> str:
-    tag = {"float64": "f64", "float32": "f32"}[timing_dtype]
+    stem = _STEMS[timing_dtype]
     if sanitize_enabled():
-        tag += "-san"
-    return f"levelkern-{tag}-{sha256[:16]}.so"
+        stem += "-san"
+    return f"{stem}-{sha256[:16]}.so"
 
 
 def ensure_library(timing_dtype: str,
                    directory: Path | None = None) -> BuildResult:
-    """Compile (or reuse) the kernel library for one timing dtype.
+    """Compile (or reuse) the library of one kind: a netlist timing
+    dtype or :data:`ISS_LIBRARY`.
 
     Raises :class:`NativeBuildError` when the toolchain is masked or
     absent, or when the compile itself fails.  The write is atomic
@@ -254,7 +277,7 @@ def ensure_library(timing_dtype: str,
         raise NativeBuildError(
             f"injected {mode} fault at native.compile")
     with obs.span("native.cache_probe", dtype=timing_dtype) as rec:
-        source = render_source(timing_dtype)
+        source = library_source(timing_dtype)
         sha = source_hash(source, probe.version or "", probe.cflags)
         directory = Path(directory) if directory is not None \
             else cache_dir()
@@ -265,7 +288,7 @@ def ensure_library(timing_dtype: str,
         return BuildResult(path=path, sha256=sha, built=False)
     with obs.span("native.compile", dtype=timing_dtype, sha=sha[:16]):
         directory.mkdir(parents=True, exist_ok=True)
-        src_path = directory / f"levelkern-{sha[:16]}.c"
+        src_path = directory / f"{_STEMS[timing_dtype]}-{sha[:16]}.c"
         # The source file is shared between concurrent cold-cache
         # builders (its name is content-addressed), so it gets the same
         # atomic write-then-replace as the library: a truncating
@@ -342,9 +365,28 @@ class Kernels:
             i64, ptr, ptr, ptr, ptr, i64, i64]
 
 
-_KERNELS: dict[str, Kernels] = {}
+class IssKernels:
+    """ctypes binding of the compiled native ISS library."""
 
-_WARM: dict[tuple, Kernels] = {}
+    def __init__(self, path: Path):
+        self.path = Path(path)
+        self._lib = ctypes.CDLL(str(self.path))
+        abi = self._lib.repro_iss_abi
+        abi.restype = ctypes.c_int
+        abi.argtypes = ()
+        loaded_abi = abi()
+        if loaded_abi != ISS_ABI:  # pragma: no cover - hash keys ABI
+            raise NativeBuildError(
+                f"ISS ABI mismatch: library {self.path} has "
+                f"{loaded_abi}, expected {ISS_ABI}")
+        self.run = self._lib.repro_iss_run
+        self.run.restype = ctypes.c_int
+        self.run.argtypes = [ctypes.c_void_p]
+
+
+_KERNELS: dict[str, Kernels | IssKernels] = {}
+
+_WARM: dict[tuple, Kernels | IssKernels] = {}
 
 
 def _warm_key(timing_dtype: str, directory: Path | None) -> tuple:
@@ -366,8 +408,10 @@ def _warm_key(timing_dtype: str, directory: Path | None) -> tuple:
 
 
 def load_kernels(timing_dtype: str,
-                 directory: Path | None = None) -> Kernels:
-    """Ensure + dlopen the kernels for one dtype (cached per path).
+                 directory: Path | None = None):
+    """Ensure + dlopen the library of one kind (cached per path):
+    :class:`Kernels` for a timing dtype, :class:`IssKernels` for
+    :data:`ISS_LIBRARY`.
 
     Safe in forked pool workers: a worker either inherits the parent's
     already-loaded handle through fork or lazily opens the cached file
@@ -401,8 +445,9 @@ def load_kernels(timing_dtype: str,
         return kernels
     if faults.fire("native.dlopen") == "corrupt":
         result.path.write_bytes(b"injected corruption: not ELF\n")
+    binding = IssKernels if timing_dtype == ISS_LIBRARY else Kernels
     try:
-        kernels = Kernels(result.path)
+        kernels = binding(result.path)
     except (OSError, AttributeError, NativeBuildError) as error:
         _LOG.warning("cached kernel library %s failed to load (%s); "
                      "rebuilding once", result.path, error)
@@ -412,7 +457,7 @@ def load_kernels(timing_dtype: str,
         except OSError:  # pragma: no cover - already reclaimed
             pass
         result = ensure_library(timing_dtype, directory)
-        kernels = Kernels(result.path)
+        kernels = binding(result.path)
     _KERNELS[key] = kernels
     if not faulted:
         _WARM[warm_key] = kernels

@@ -23,6 +23,16 @@ hook, injector) through a small :class:`_RunState` object rather than
 through the :class:`Cpu`, so no reference cycle ties a CPU to its own
 code and a dropped CPU is freed by reference counting at once.
 
+This Python ISS is the executable spec.  :meth:`Cpu.run` hands a run
+to the native ISS + FI kernel (:mod:`repro.sim.native_iss`) whenever
+that kernel can reproduce it bit for bit -- same registers, memory,
+counters and random-stream position -- and runs the loop below
+otherwise (no toolchain, ``profile``/``trace_hook``, an injector the
+kernel does not model).  The kernel is not an engine preference:
+``--engine`` does not select it, and no result depends on which path
+ran; the ``iss.native_runs`` / ``iss.python_runs`` counters say which
+did.
+
 Fault injection contract: while the FI window is open (between the
 ``l.nop NOP_FI_ON`` / ``NOP_FI_OFF`` kernel markers) every FI-eligible
 (ALU-class) instruction passes its 32-bit result through the injector's
@@ -45,6 +55,7 @@ from repro.sim.exceptions import (
     PcOutOfRange,
 )
 from repro.sim.machine import MachineConfig, NOP_FI_OFF, NOP_FI_ON
+from repro.sim import native_iss
 from repro.sim.memory import DataMemory
 from repro.sim.result import ExecutionResult
 
@@ -202,8 +213,14 @@ class Cpu:
         finished = False
         abort_reason: str | None = None
         exit_code: int | None = None
+        fallback = native_iss.fallback_reason(self)
+        native_iss.count_run(fallback)
         try:
-            self._run_loop(entry, budget)
+            if fallback is not None:
+                self._run_loop(entry, budget)
+            elif native_iss.execute(self, self._entry_index(entry),
+                                    budget):
+                raise _Exit()
         except _Exit:
             finished = True
             exit_code = self.regs[3]
@@ -224,13 +241,16 @@ class Cpu:
             class_counts=dict(self._class_counts),
         )
 
-    def _run_loop(self, entry: int, budget: int) -> None:
+    def _entry_index(self, entry: int) -> int:
         if entry % 4:
             raise PcOutOfRange(f"entry {entry:#x} not word aligned")
+        return (entry - self.config.imem_base) // 4
+
+    def _run_loop(self, entry: int, budget: int) -> None:
+        pc_index = self._entry_index(entry)
         code = self._code
         state = self._state
         size = len(code)
-        pc_index = (entry - self.config.imem_base) // 4
         pending = -1
         cycles = self.cycles
         kernel_cycles = self.kernel_cycles
