@@ -9,7 +9,7 @@ PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
 .PHONY: tier1 test lint bench-engines bench-engines-scratch \
         bench-baseline bench-check bench-figures campaign-smoke \
-        native-smoke sanitize-smoke thread-smoke chaos-smoke \
+        native-smoke sanitize-smoke chaos-smoke \
         obs-smoke fabric-smoke trace-baseline bench-e2e
 
 # tier1 runs the bench suite into a scratch file (its bit-identity and
@@ -18,7 +18,7 @@ PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 # otherwise the single run just written would overwrite the baseline
 # seconds before the gate reads it (and, under REPRO_NO_CC, silently
 # drop every native row from the committed file).
-tier1: lint test native-smoke sanitize-smoke thread-smoke bench-engines-scratch bench-check campaign-smoke chaos-smoke obs-smoke fabric-smoke
+tier1: lint test native-smoke sanitize-smoke bench-engines-scratch bench-check campaign-smoke chaos-smoke obs-smoke fabric-smoke
 
 # Static checks: ruff + mypy per pyproject.toml (strict on
 # src/repro/analysis/, permissive elsewhere).  Where those tools are
@@ -66,15 +66,6 @@ native-smoke:
 sanitize-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) scripts/sanitize_smoke.py
 
-# Shard a calibrated-ALU multiplier propagate over the zero-IPC thread
-# pool at 2 and 4 workers and require byte-identical output vs the
-# serial native engine (f64 + f32, both glitch models, plus a blocked
-# run_dta); heal an injected threads.shard fault byte-identically; and
-# re-run the thread-sharding tests under the ASan+UBSan instrumented
-# kernels.  Skips (exit 0) without a working C compiler.
-thread-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) scripts/thread_smoke.py
-
 # Kill a quick-scale `campaign run all` mid-run, resume it, and require
 # the rendered output to be byte-identical to an uninterrupted run;
 # prove warm fig2/fig4/fig5 reruns perform zero DTA and zero Monte-
@@ -108,8 +99,8 @@ obs-smoke:
 	$(PYTHON) scripts/obs_smoke.py
 
 # Refresh the committed BENCH_trace.jsonl (serial native-f32 propagate
-# stages + pool-sharded dispatch, traced through the telemetry plane)
-# and print the ceiling-analysis numbers ROADMAP.md quotes from it.
+# calls, traced through the telemetry plane) and print the
+# ceiling-analysis number ROADMAP.md quotes from it.
 trace-baseline:
 	$(PYTHON) scripts/trace_baseline.py
 

@@ -42,20 +42,6 @@ from repro.timing.noise import VoltageNoise
 #: gate (``make bench-check``).
 BLOCK = int(os.environ.get("REPRO_BENCH_BLOCK", "512"))
 
-#: Pool size of the sharded rows, pinned by the acceptance criterion
-#: of the shared-memory PR.  The JSON records ``cpu_count`` next to
-#: it: on a 1-core container the sharded rows measure the *overhead*
-#: of sharding (workers serialize), not its scaling.
-POOL_WORKERS = 4
-
-#: Thread-shard width of the native-threads row, keyed to this box:
-#: the row means "what thread sharding buys *here*", so it uses every
-#: core up to the pool-row width.  On a 1-core container that is a
-#: degenerate 1-worker pool (``shard_columns`` answers None) and the
-#: row measures routing overhead -- the acceptance bar is parity with
-#: serial, scaling only appears next to ``cpu_count > 1``.
-THREAD_WORKERS = min(POOL_WORKERS, os.cpu_count() or 1)
-
 #: Native rows only exist where a working C compiler does; the JSON
 #: records availability + the compiler identity so ``bench-check``
 #: (and readers) can tell "no native on this machine" from "rows
@@ -97,8 +83,6 @@ def emit_summary():
         path = Path(os.environ.get("REPRO_BENCH_OUT", default))
         probe = native.probe_compiler() if NATIVE_AVAILABLE else None
         payload = {"block": BLOCK, "cpu_count": os.cpu_count(),
-                   "pool_workers": POOL_WORKERS,
-                   "thread_workers": THREAD_WORKERS,
                    "native_available": NATIVE_AVAILABLE,
                    "native_compiler":
                        probe.version if probe is not None else None,
@@ -135,48 +119,6 @@ def test_propagate_block(benchmark, ctx, mnemonic, glitch_model):
     _record(f"propagate[{mnemonic},{glitch_model}]",
             benchmark.stats.stats.min, reference_s)
     assert compiled is not None
-
-
-@pytest.mark.parametrize("mnemonic", ["l.add", "l.mul"])
-def test_propagate_block_sharded(benchmark, ctx, mnemonic):
-    """Pool-sharded propagate (4 workers) vs serial compiled + reference.
-
-    ``vs_serial`` is the acceptance metric of the shared-memory PR
-    (>= 1.8x at 4 workers *given 4 cores*); ``cpu_count`` in the JSON
-    qualifies it -- with a single core the workers serialize and the
-    row measures sharding overhead instead.  Results must stay
-    bit-identical to the serial engine, and the pool must not respawn
-    across rounds (spawn cost amortized, zero per-call pickling).
-    """
-    alu = ctx.alu
-    a, b = _operand_block()
-    prev, new = (a[:BLOCK], b[:BLOCK]), (a[1:], b[1:])
-
-    def run():
-        return alu.propagate(mnemonic, prev, new, 0.7, "sensitized",
-                             engine="compiled")
-
-    run()  # warm the serial plan, workspace and delay tiles
-    serial_s = _time_best(run)
-    values_s, arrivals_s = run()
-    reference_s = _time_best(
-        lambda: alu.propagate(mnemonic, prev, new, 0.7, "sensitized",
-                              engine="reference"))
-    pool = parallel.configure_pool(POOL_WORKERS)
-    try:
-        run()  # warm the shared workspace and spawn the workers
-        benchmark(run)
-        values_p, arrivals_p = run()
-        assert pool.spawn_count == 1  # no per-propagate fork
-    finally:
-        parallel.shutdown_pool()
-    assert np.array_equal(values_p, values_s)
-    assert np.array_equal(arrivals_p, arrivals_s)
-    sharded_s = benchmark.stats.stats.min
-    _record(f"propagate[{mnemonic},sensitized,sharded]", sharded_s,
-            reference_s, serial_ms=round(serial_s * 1e3, 3),
-            vs_serial=round(serial_s / sharded_s, 2),
-            workers=POOL_WORKERS)
 
 
 @pytest.mark.parametrize("mnemonic", ["l.add", "l.mul"])
@@ -254,52 +196,6 @@ def test_propagate_block_native(benchmark, ctx, mnemonic, engine):
     _record(f"propagate[{mnemonic},sensitized,{tag}]", native_s,
             reference_s, serial_ms=round(serial_s * 1e3, 3),
             vs_serial=round(serial_s / native_s, 2))
-
-
-@needs_native
-@pytest.mark.parametrize("mnemonic", ["l.add", "l.mul"])
-def test_propagate_block_native_threads(benchmark, ctx, mnemonic):
-    """Thread-sharded native propagate vs the serial native engine.
-
-    The zero-IPC row: ``THREAD_WORKERS`` threads shard the block axis
-    over column views of one workspace while the fused C kernels
-    release the GIL -- no pipes, no pickling, no shared mappings.
-    ``vs_serial`` is the gain over the serial native engine;
-    ``cpu_count`` in the JSON qualifies it (1 core => the bar is
-    parity, the threads serialize).  Results must stay bit-identical
-    to serial, and warm calls must never respawn the threads.
-    """
-    alu = ctx.alu
-    a, b = _operand_block()
-    prev, new = (a[:BLOCK], b[:BLOCK]), (a[1:], b[1:])
-
-    def run():
-        return alu.propagate(mnemonic, prev, new, 0.7, "sensitized",
-                             engine="compiled-native")
-
-    run()  # warm plan, descriptor, kernels and workspace
-    serial_s = _time_best(run)
-    values_s, arrivals_s = run()
-    reference_s = _time_best(
-        lambda: alu.propagate(mnemonic, prev, new, 0.7, "sensitized",
-                              engine="reference"))
-    pool = parallel.configure_thread_pool(THREAD_WORKERS)
-    try:
-        run()  # spawn the threads outside the timed region
-        benchmark(run)
-        values_t, arrivals_t = run()
-        # A 1-worker pool never shards, so it never spawns either.
-        assert pool.spawn_count == (1 if THREAD_WORKERS > 1 else 0)
-    finally:
-        parallel.shutdown_thread_pool()
-    assert np.array_equal(values_t, values_s)
-    assert np.array_equal(arrivals_t, arrivals_s)
-    threads_s = benchmark.stats.stats.min
-    _record(f"propagate[{mnemonic},sensitized,native-threads]",
-            threads_s, reference_s,
-            serial_ms=round(serial_s * 1e3, 3),
-            vs_serial=round(serial_s / threads_s, 2),
-            workers=THREAD_WORKERS)
 
 
 @needs_native

@@ -45,13 +45,15 @@ MAX_RETRIES = "3"
 #: The standing chaos schedule.  Every probability is per *hit* and
 #: decided by sha256(seed, site, hit), so the whole run is a pure
 #: function of this string and the execution order -- rerunning it
-#: fires the identical fault sequence.
+#: fires the identical fault sequence.  A pool worker receives one
+#: message per campaign dispatch, so the kill rule fires on the first
+#: (each worker counts its own hits).
 CHAOS_SCHEDULE = (
     "seed=7"
     ";store.object_write:torn@p=0.05"
     ";store.manifest_append:oserror@p=0.04"
     ";campaign.unit_run:raise@p=0.08"
-    ";pool.worker_heartbeat:kill@after=3"
+    ";pool.worker_heartbeat:kill@after=1"
     ";native.compile:fail@after=1"
 )
 

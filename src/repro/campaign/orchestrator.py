@@ -409,15 +409,10 @@ def run_campaign(experiment: str, scale: str | Scale = "default",
 
     Resuming is the same call again: completed units are store hits
     and only the missing ones execute, with byte-identical rendered
-    output for any jobs value.
-
-    Thread sharding composes with every dispatch mode: a configured
-    thread-shard pool (:func:`repro.parallel.configure_thread_pool`)
-    is rebuilt per forked worker on first use (threads do not survive
-    fork), so each pool/fabric worker thread-shards its own
-    native-engine propagates.  Campaign artifacts stay byte-identical
-    regardless of shard mode -- f64 native output is bit-identical to
-    serial at any thread count.
+    output for any jobs value.  Each unit's DTA propagates run
+    serially inside whichever process computes the unit, so campaign
+    artifacts are byte-identical under every dispatch mode and engine
+    (f64 native output is bit-identical to numpy).
     """
     if store is None:
         raise ValueError("run_campaign needs a result store; it is the "

@@ -3,8 +3,8 @@
 Examples::
 
     python -m repro table1 --scale paper
-    python -m repro fig5 --scale default --jobs 4
-    python -m repro fig2 --scale paper --pool-workers 4 --timing-dtype float32
+    python -m repro fig5 --scale default --jobs 4 --pool-workers 4
+    python -m repro fig2 --scale paper --timing-dtype float32
     python -m repro all --scale quick
     python -m repro campaign run fig5 --scale paper --jobs 8
     python -m repro campaign run all --scale paper --jobs 8 --pool-workers 8
@@ -111,20 +111,10 @@ def _add_store(parser: argparse.ArgumentParser,
                                  "campaigns)")
     parser.add_argument("--pool-workers", type=int, default=None,
                         metavar="N",
-                        help="persistent shared-memory pool size: "
-                             "spawn N fork workers once and reuse "
-                             "them for sharded propagate blocks, "
-                             "pooled Monte-Carlo trials and campaign "
-                             "unit shards (default: no pool)")
-    parser.add_argument("--shard-threads", type=int, default=None,
-                        metavar="N",
-                        help="thread-shard pool size for native "
-                             "engines: shard each propagate's block "
-                             "axis over N in-process threads (the C "
-                             "kernels release the GIL; zero pipes, "
-                             "zero pickling).  Native engines then "
-                             "never use the fork pool; numpy engines "
-                             "still do (default: no thread pool)")
+                        help="persistent fork pool size: spawn N "
+                             "workers once and reuse them for pooled "
+                             "Monte-Carlo trials and campaign unit "
+                             "shards (default: no pool)")
     parser.add_argument("--timing-dtype", default="float64",
                         choices=("float64", "float32"),
                         help="settle-pipeline dtype of the DTA "
@@ -386,11 +376,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if getattr(args, "pool_workers", None):
         parallel.configure_pool(args.pool_workers)
-    if getattr(args, "shard_threads", None):
-        # Thread shards serve native engines only; forked campaign/DTA
-        # workers rebuild a same-width pool on first use (threads do
-        # not survive fork), so one flag governs the process tree.
-        parallel.configure_thread_pool(args.shard_threads)
     timing_dtype = getattr(args, "timing_dtype", "float64")
     engine = getattr(args, "engine", None)
     if engine is not None:
@@ -645,20 +630,6 @@ def main(argv: list[str] | None = None) -> int:
             strict_fail = True
             print(f"{name:16s} {'':8s} not in use: {status['reason']} "
                   f"(the Python ISS runs every simulation)")
-        # Thread-shard substrate: always available (stdlib threads);
-        # what varies per build is whether Python code overlaps too.
-        tpool = parallel.get_thread_pool()
-        configured = f"configured, {tpool.workers} worker(s)" \
-            if tpool is not None else "off (--shard-threads N)"
-        print(f"{'thread-shards':16s} {'':8s} available: native "
-              f"engines shard over in-process threads [{configured}]")
-        if parallel.free_threaded():
-            print(f"{'':16s} {'':8s}   free-threaded CPython "
-                  f"(Py_GIL_DISABLED): python around the kernels "
-                  f"overlaps too")
-        else:
-            print(f"{'':16s} {'':8s}   GIL build: only the C kernel "
-                  f"portions overlap (they release the GIL)")
         if analysis.bounds_check_enabled():
             print(f"{'oracle':16s} {'':8s} ACTIVE: every propagate "
                   f"checked against the static STA envelope "

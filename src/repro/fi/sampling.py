@@ -49,7 +49,12 @@ class BitSampler:
         first_probs = none_below * p_bits
         p_any = 1.0 - float(np.prod(1.0 - p_bits))
         if p_any > 0.0:
-            first_cdf = np.cumsum(first_probs) / p_any
+            # The first-success terms sum to p_any exactly in real
+            # arithmetic, but ``1 - prod(1 - p)`` cancels badly for tiny
+            # p (relative error ~1e-5 at p ~ 1e-12); normalizing by the
+            # terms' own sum keeps the CDF ending at 1.
+            first_cdf = np.cumsum(first_probs)
+            first_cdf /= first_cdf[-1]
         else:
             first_cdf = np.ones_like(p_bits)
         return cls(p_bits=p_bits, p_any=p_any, first_cdf=first_cdf)

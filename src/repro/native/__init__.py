@@ -57,10 +57,7 @@ from repro.native.lowering import (
     NativeDesc,
     bus_tables,
     native_desc,
-    run_extract,
     run_fused,
-    run_propagate,
-    run_stimulus,
 )
 from repro.native.source import KERNEL_ABI, render_source, source_hash
 
@@ -95,10 +92,7 @@ __all__ = [
     "probe_compiler",
     "record_runtime_failure",
     "render_source",
-    "run_extract",
     "run_fused",
-    "run_propagate",
-    "run_stimulus",
     "runtime_failure",
     "set_backend",
     "source_hash",

@@ -335,22 +335,6 @@ class Kernels:
                 f"kernel ABI mismatch: library {self.path} has "
                 f"{loaded_abi}, expected {KERNEL_ABI}")
         i64, ptr = ctypes.c_int64, ctypes.c_void_p
-        common = [i64, ptr, ptr, ptr, ptr, ptr, ptr, i64]
-        self.sensitized = self._lib.repro_propagate_sensitized
-        self.sensitized.restype = None
-        self.sensitized.argtypes = common + [ptr, ptr, ptr, ptr, i64, i64]
-        self.value_change = self._lib.repro_propagate_value_change
-        self.value_change.restype = None
-        self.value_change.argtypes = common + [ptr, ptr, ptr, ptr, ptr,
-                                               i64, i64]
-        self.stimulus = self._lib.repro_stimulus
-        self.stimulus.restype = None
-        self.stimulus.argtypes = [i64, ptr, ptr, ptr, ptr, ptr, i64,
-                                  ptr, i64, ptr, ptr, ptr, ptr, i64, i64]
-        self.extract = self._lib.repro_extract
-        self.extract.restype = None
-        self.extract.argtypes = [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr,
-                                 i64, i64, i64, ptr, ptr]
         self.run = self._lib.repro_run
         self.run.restype = None
         self.run.argtypes = [

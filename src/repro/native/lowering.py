@@ -12,15 +12,14 @@ tested against the width-1 suite in ``tests/``).
 
 The descriptor is cached on the plan instance itself, so it shares the
 plan's lifecycle: a netlist edit rebuilds the plan and thereby drops
-the stale descriptor, and a plan pushed to pool workers carries (or
-lazily rebuilds) its descriptor in each worker.
+the stale descriptor.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.native.build import Kernels, load_kernels
+from repro.native.build import Kernels
 
 _FAMILY_CODES = {"and": 0, "xor": 1, "mux": 2}
 
@@ -93,8 +92,8 @@ class BusTables:
     the bit's net renumbered through ``plan.rows``, ``word`` the index
     of its bus in the packed ``(n_buses, N)`` uint64 stimulus/result
     matrix, ``shift`` its position inside that word.  The tables are
-    what lets ``repro_stimulus`` / ``repro_extract`` cross the
-    Python/C wall once per call instead of once per bus.
+    what lets ``repro_run`` unpack stimulus and pack results inside
+    its one Python/C crossing instead of once per bus.
 
     Buses wider than 64 bits cannot pack into one word; callers must
     check :attr:`packable` and keep the numpy path for such circuits
@@ -176,90 +175,18 @@ def _packed_words(words: np.ndarray, n_cols: int, what: str) -> int:
     return words.shape[1]
 
 
-def run_stimulus(plan, ws, tables: BusTables, prev_words: np.ndarray,
-                 new_words: np.ndarray, arrival: float, fill_prev: bool,
-                 kernels: Kernels | None = None) -> None:
-    """Seed constants + input rows of ``ws`` straight from packed words.
-
-    Replaces the numpy stimulus stage: unpacks ``prev_words`` /
-    ``new_words`` (``(n_buses, N)`` uint64, one row per input bus in
-    table order) into the workspace value planes, computing events and
-    arrival-seeded settles in the same pass, and seeds the constant
-    rows 0/1.  ``fill_prev`` additionally stores the previous values
-    into ``ws.prev`` (the value-change engine's input contract).
-    """
-    if not tables.packable:
-        raise ValueError("bus wider than 64 bits cannot use the fused "
-                         "stimulus path")
-    if kernels is None:
-        kernels = load_kernels(_dtype_name(ws))
-    n_cols = ws.n_vectors
-    words_stride = _packed_words(prev_words, n_cols, "prev stimulus")
-    _packed_words(new_words, n_cols, "new stimulus")
-    stride, new_ptr, events_ptr, settles_ptr, prev_ptr = \
-        _layout(ws, fill_prev)
-    cached = getattr(ws, "_native_arrival", None)
-    if cached is None:
-        buf = np.empty(1, dtype=ws.timing_dtype)
-        cached = (buf, buf.ctypes.data)
-        ws._native_arrival = cached
-    arr, arr_ptr = cached
-    arr[0] = arrival
-    kernels.stimulus(tables.n_in_bits, *tables.in_ptrs,
-                     prev_words.ctypes.data, new_words.ctypes.data,
-                     words_stride, arr_ptr, int(fill_prev),
-                     prev_ptr, new_ptr, events_ptr,
-                     settles_ptr, stride, n_cols)
-
-
-def run_extract(plan, ws, tables: BusTables, glitch_model: str,
-                kernels: Kernels | None = None):
-    """Gather every output bus out of ``ws`` in one C pass.
-
-    Returns ``(outputs, arrivals)``: per-bus packed uint64 vectors and
-    per-bus ``(width, N)`` arrival matrices, views into two buffers
-    freshly allocated per call (callers may retain them).  Matches the
-    numpy extraction bit-for-bit: sensitized arrivals are the raw
-    settle rows masked by events, value-change arrivals are the
-    already-masked settle rows.
-    """
-    if not tables.packable:
-        raise ValueError("bus wider than 64 bits cannot use the fused "
-                         "extract path")
-    if kernels is None:
-        kernels = load_kernels(_dtype_name(ws))
-    n_cols = ws.n_vectors
-    stride, new_ptr, events_ptr, settles_ptr, _ = _layout(ws, False)
-    out_words = np.empty((tables.n_out_buses, n_cols), dtype=np.uint64)
-    out_arrivals = np.empty((tables.n_out_bits, n_cols),
-                            dtype=ws.timing_dtype)
-    kernels.extract(tables.n_out_bits, *tables.out_ptrs,
-                    tables.n_out_buses, new_ptr, events_ptr,
-                    settles_ptr, stride,
-                    int(glitch_model == "sensitized"), n_cols,
-                    out_words.ctypes.data, out_arrivals.ctypes.data)
-    outputs = {}
-    arrivals = {}
-    for i, (name, width, off) in enumerate(
-            zip(tables.out_names, tables.out_widths, tables.out_offsets)):
-        outputs[name] = out_words[i]
-        arrivals[name] = out_arrivals[off:off + width]
-    return outputs, arrivals
-
-
 def run_fused(plan, ws, tables: BusTables, prev_words: np.ndarray,
               new_words: np.ndarray, arrival: float, delays: np.ndarray,
               glitch_model: str, kernels: Kernels):
     """Whole propagate in one library call (``repro_run``).
 
     Stimulus unpack, every level, and output extraction happen inside
-    a single ctypes crossing: the serial native path's Python wall
-    reduces to output-buffer allocation and dict assembly, and the
-    output rows are still cache-hot from the last level when the
-    extract pass reads them.  Same contract as running the three
-    stage kernels back to back (the C side *is* that composition).
-    Shard and degrade paths keep the individual kernels: a shard
-    extracts nothing, and a mid-call engine switch needs the seams.
+    a single ctypes crossing: the native path's Python wall reduces
+    to output-buffer allocation and dict assembly, and the output rows
+    are still cache-hot from the last level when the extract pass
+    reads them.  Bit-identical to the numpy stages at float64:
+    sensitized arrivals are the raw settle rows masked by events,
+    value-change arrivals the already-masked settle rows.
     """
     if not tables.packable:
         raise ValueError("bus wider than 64 bits cannot use the fused "
@@ -305,32 +232,18 @@ def run_fused(plan, ws, tables: BusTables, prev_words: np.ndarray,
     return outputs, arrivals
 
 
-def _dtype_name(ws) -> str:
-    """Kernel-library dtype name for a workspace's timing dtype."""
-    if ws.timing_dtype == np.float64:
-        return "float64"
-    if ws.timing_dtype == np.float32:
-        return "float32"
-    raise ValueError(
-        f"no native kernel for timing dtype {ws.timing_dtype}")
-
-
 def _layout(ws, need_prev: bool) -> tuple:
-    """Shared row stride + base pointers of ``ws``'s state matrices.
+    """Row stride + base pointers of ``ws``'s state matrices.
 
-    Serial workspaces are plain C-contiguous ``(n_nets, N)`` blocks;
-    pool shard views are column slices whose rows keep the parent
-    width as stride.  Either way all matrices must agree and columns
-    must be unit-stride -- the kernels address ``base + row * stride +
-    col``.
+    Workspaces are C-contiguous ``(n_nets, N)`` blocks, so the stride
+    is ``N`` and the kernel addresses ``base + row * N + col``.
 
     Returns ``(stride, new_ptr, events_ptr, settles_ptr, prev_ptr)``
     (``prev_ptr`` is None unless ``need_prev``).  ``.ctypes.data``
     rebuilds a ctypes accessor on every read (~1.5 us, several reads
-    per fused stage), and one workspace serves every call of a DTA
-    sweep -- so the derived layout is cached on the workspace and
-    revalidated by plane identity: a reallocated plane (or a fresh
-    per-call ShardView) misses and re-derives.
+    per call), and one workspace serves every call of a DTA sweep --
+    so the layout is cached on the workspace and revalidated by plane
+    identity: a reallocated plane misses and re-derives.
     """
     new, events, settles = ws.new, ws.events, ws.settles
     prev = ws.prev if need_prev else None
@@ -339,48 +252,8 @@ def _layout(ws, need_prev: bool) -> tuple:
             and cached[2] is settles
             and (not need_prev or cached[3] is prev)):
         return cached[4]
-    stride = new.strides[0] // new.itemsize
-    if (events.strides[0] // events.itemsize != stride
-            or settles.strides[0] // settles.itemsize != stride
-            or new.strides[1] != new.itemsize
-            or settles.strides[1] != settles.itemsize):
-        raise ValueError("workspace matrices disagree on layout")
-    if prev is not None and prev.strides[0] // prev.itemsize != stride:
-        raise ValueError("workspace matrices disagree on layout")
-    layout = (stride, new.ctypes.data, events.ctypes.data,
+    layout = (ws.n_vectors, new.ctypes.data, events.ctypes.data,
               settles.ctypes.data,
               prev.ctypes.data if prev is not None else None)
     ws._native_layout = (new, events, settles, prev, layout)
     return layout
-
-
-def run_propagate(plan, ws, delays: np.ndarray, glitch_model: str,
-                  kernels: Kernels | None = None) -> None:
-    """Run one propagate call through the fused C kernels.
-
-    Drop-in replacement for ``plan_mod.propagate_sensitized`` /
-    ``propagate_value_change`` over the same :class:`Workspace` (or
-    pool :class:`ShardView`) contract: constants/input rows seeded by
-    the caller, sensitized settle rows left raw, value-change settle
-    rows stored masked.
-    """
-    dtype_name = _dtype_name(ws)
-    desc = native_desc(plan)
-    if not desc.n_ops:
-        return  # gate-less plan: nothing to run, nothing to compile
-    if kernels is None:
-        kernels = load_kernels(dtype_name)
-    rowed = desc.delays_rowed(np.asarray(delays, dtype=float), ws.timing_dtype)
-    value_change = glitch_model != "sensitized"
-    stride, new_ptr, events_ptr, settles_ptr, prev_ptr = \
-        _layout(ws, value_change)
-    args = (desc.n_ops, desc.family.ctypes.data, desc.lo.ctypes.data,
-            desc.hi.ctypes.data, desc.ins_off.ctypes.data,
-            desc.ins.ctypes.data, desc.flags.ctypes.data, desc.gate_row0)
-    if value_change:
-        kernels.value_change(*args, prev_ptr, new_ptr,
-                             events_ptr, settles_ptr,
-                             rowed.ctypes.data, stride, ws.n_vectors)
-    else:
-        kernels.sensitized(*args, new_ptr, events_ptr, settles_ptr,
-                           rowed.ctypes.data, stride, ws.n_vectors)

@@ -34,9 +34,9 @@ packed input words straight into the workspace value/event/settle
 planes (and ``prev`` for the value-change model), and
 ``repro_extract`` packs output-bus values back into words and gathers
 per-bit arrivals.  ``repro_run`` composes stimulus, propagate and
-extract into ONE library call -- the serial native path crosses the
-Python/C wall once per propagate, not once per stage; shard and
-degrade paths keep the individual stage kernels.  The float64 kernels
+extract into ONE library call, the only entry point Python binds: a
+native propagate crosses the Python/C wall once, not once per stage.
+The other exported kernels are the pieces it composes.  The float64 kernels
 are therefore bit-identical to ``engine="compiled"``; the float32
 kernels inherit the relaxed-identity contract of
 ``engine="compiled-f32"``.

@@ -17,7 +17,6 @@ from repro.obs.export import (  # noqa: F401
     render_stats,
     span_aggregates,
     spans,
-    thread_split,
     to_chrome,
     unit_times,
 )

@@ -13,8 +13,7 @@ turns that into:
   and self time, counter totals with store hit rate (hits over hits
   plus misses; ``store.readback`` reads of just-computed artifacts are
   listed but not counted as hits), the pool's
-  queue-wait vs compute split, and the thread-shard per-thread busy
-  share.
+  queue-wait vs compute split, and the lease-fabric aggregates.
 
 Readers are forgiving by design: unparsable lines (a record torn by a
 kill) are skipped, and leftover ``.pid-*`` part files of a run whose
@@ -209,41 +208,6 @@ def pool_split(records: list[dict]) -> dict[str, float] | None:
             "compute_ms": compute / 1e3}
 
 
-def thread_split(records: list[dict]) -> dict | None:
-    """Thread-shard utilization from ``threads.shard`` spans.
-
-    Per worker thread, the busy share of the overall shard window
-    (first shard start to last shard end): on a GIL build only the
-    kernel portions overlap, on free-threaded CPython everything does,
-    and a degenerate share distribution (one thread busy, the rest
-    idle) is how an accidental serialization shows up in ``repro
-    stats``.  Healed shards (serial re-runs after a fault or worker
-    failure) are counted separately.  Returns None when the trace has
-    no thread-shard activity.
-    """
-    shard_records = [r for r in spans(records)
-                     if r["name"] == "threads.shard"]
-    if not shard_records:
-        return None
-    busy_us: dict[int, float] = defaultdict(float)
-    healed = 0
-    t_lo = min(r["ts"] for r in shard_records)
-    t_hi = max(r["ts"] + r["dur"] for r in shard_records)
-    for record in shard_records:
-        busy_us[record.get("tid", 0)] += record["dur"]
-        if record.get("a", {}).get("healed"):
-            healed += 1
-    window_ms = max(t_hi - t_lo, 0.0) / 1e3
-    return {
-        "shards": len(shard_records),
-        "threads": len(busy_us),
-        "healed": healed,
-        "window_ms": window_ms,
-        "busy_ms": {tid: us / 1e3
-                    for tid, us in sorted(busy_us.items())},
-    }
-
-
 def fabric_split(records: list[dict]) -> dict | None:
     """Lease-fabric aggregates: batch latency, steals, HTTP health.
 
@@ -325,19 +289,6 @@ def render_stats(records: list[dict], limit: int = 20) -> str:
                      f"compute {split['compute_ms']:.2f} ms, "
                      f"queue wait {split['queue_wait_ms']:.2f} ms "
                      f"(utilization {busy:.1%})")
-    threads = thread_split(records)
-    if threads is not None:
-        lines.append("")
-        window = threads["window_ms"]
-        shares = ", ".join(
-            f"tid {tid}: {ms:.2f} ms"
-            + (f" ({ms / window:.0%})" if window else "")
-            for tid, ms in threads["busy_ms"].items())
-        lines.append(
-            f"threads: {threads['shards']} shard(s) over "
-            f"{threads['threads']} thread(s) in {window:.2f} ms "
-            f"window, {threads['healed']} healed")
-        lines.append(f"         busy share -- {shares}")
     fabric = fabric_split(records)
     if fabric is not None:
         lines.append("")

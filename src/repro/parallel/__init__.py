@@ -1,31 +1,20 @@
-"""Process-global execution pools: fork workers and thread shards.
+"""Process-global persistent fork pool.
 
-Two pools, two substrates, one decision rule:
+:class:`~repro.parallel.pool.SharedPool` keeps fork workers alive
+across calls; it serves Monte-Carlo trial chunks
+(:func:`repro.mc.runner.run_point`) and campaign unit shards, work that
+holds the GIL, so separate processes are the only way it overlaps.
+Netlist propagates never use it: every propagate runs serially in the
+calling process.
 
-* :class:`~repro.parallel.pool.SharedPool` -- persistent **fork**
-  workers with shared-memory workspaces.  The substrate for work that
-  holds the GIL (numpy engines, MC trial chunks, campaign units):
-  separate processes are the only way those overlap.
-* :class:`~repro.parallel.threads.ThreadShardPool` -- persistent
-  **threads** sharding native-engine propagates over column views of
-  the same workspace.  The native kernels are ctypes calls that
-  release the GIL, so threads overlap them with zero pipes, zero
-  pickling and zero registry plumbing; when a thread pool is
-  configured, :meth:`Circuit.propagate` routes native engines here
-  and never engages the fork pool for them.
-
-Configured explicitly (CLI ``--pool-workers`` / ``--shard-threads``,
-benches, tests).  Both accessors are fork-aware, in opposite ways: a
-forked child sees ``None`` from :func:`get_pool` (it must never talk
-over its parent's pipes) but gets a *fresh same-width pool* from
-:func:`get_thread_pool` (threads do not survive fork, and a campaign
-or DTA worker should keep thread-sharding its propagates).
+Configured explicitly (CLI ``--pool-workers``, benches, tests).  The
+accessor is fork-aware: a forked child sees ``None`` from
+:func:`get_pool`, because it must never talk over its parent's pipes.
 """
 
 from __future__ import annotations
 
 import atexit
-import itertools
 import os
 
 from repro.parallel.pool import (
@@ -33,44 +22,22 @@ from repro.parallel.pool import (
     SharedPool,
     fork_available,
     pool_task,
-    shard_ranges,
 )
-from repro.parallel.shm import is_shared, shared_empty
-from repro.parallel.threads import ThreadShardPool, free_threaded
 
 __all__ = [
     "PoolError",
     "SharedPool",
-    "ThreadShardPool",
     "configure_pool",
-    "configure_thread_pool",
     "fork_available",
-    "free_threaded",
     "get_pool",
-    "get_thread_pool",
-    "is_shared",
-    "next_token",
     "pool_task",
-    "shard_ranges",
-    "shared_empty",
     "shutdown_pool",
-    "shutdown_thread_pool",
 ]
 
 _POOL: SharedPool | None = None
 
-_THREAD_POOL: ThreadShardPool | None = None
 
-_TOKENS = itertools.count(1)
-
-
-def next_token() -> int:
-    """Process-unique small int for building registry keys."""
-    return next(_TOKENS)
-
-
-def configure_pool(workers: int | None,
-                   min_shard_vectors: int = 64) -> SharedPool | None:
+def configure_pool(workers: int | None) -> SharedPool | None:
     """Install (or clear) the process-global pool.
 
     ``workers`` of None/0/1 -- or an environment without fork --
@@ -81,7 +48,7 @@ def configure_pool(workers: int | None,
     global _POOL
     shutdown_pool()
     if workers and workers >= 2 and fork_available():
-        _POOL = SharedPool(workers, min_shard_vectors=min_shard_vectors)
+        _POOL = SharedPool(workers)
     return _POOL
 
 
@@ -101,51 +68,4 @@ def shutdown_pool() -> None:
     _POOL = None
 
 
-def configure_thread_pool(workers: int | None,
-                          min_shard_vectors: int = 64) \
-        -> ThreadShardPool | None:
-    """Install (or clear) the process-global thread-shard pool.
-
-    ``workers`` of None/0 clears it.  Unlike the fork pool, a
-    1-worker thread pool is installed rather than cleared: it is
-    degenerate (``shard_columns`` answers None, propagates run
-    serially) but costs nothing, and it lets "thread mode, one lane"
-    be expressed without a special case -- the 1-core bench row runs
-    through it.  Threads spawn lazily on first sharded call.
-    """
-    global _THREAD_POOL
-    shutdown_thread_pool()
-    if workers and workers >= 1:
-        _THREAD_POOL = ThreadShardPool(
-            workers, min_shard_vectors=min_shard_vectors)
-    return _THREAD_POOL
-
-
-def get_thread_pool() -> ThreadShardPool | None:
-    """The process-global thread pool, rebuilt across forks.
-
-    Threads do not survive :func:`os.fork`, but the *configuration*
-    should: a forked campaign/DTA worker inheriting a configured
-    thread pool gets a fresh pool of the same width on first access,
-    so its native propagates keep thread-sharding.
-    """
-    global _THREAD_POOL
-    pool = _THREAD_POOL
-    if pool is not None and pool.owner_pid != os.getpid():
-        pool = ThreadShardPool(
-            pool.workers, min_shard_vectors=pool.min_shard_vectors)
-        _THREAD_POOL = pool
-    return pool
-
-
-def shutdown_thread_pool() -> None:
-    """Join and drop the thread pool, if this process owns it."""
-    global _THREAD_POOL
-    if _THREAD_POOL is not None \
-            and _THREAD_POOL.owner_pid == os.getpid():
-        _THREAD_POOL.shutdown()
-    _THREAD_POOL = None
-
-
 atexit.register(shutdown_pool)
-atexit.register(shutdown_thread_pool)

@@ -1,4 +1,4 @@
-"""Persistent shared-memory fork pool: spawn once, execute many.
+"""Persistent fork pool: spawn once, execute many.
 
 The historical parallel paths (``run_point(n_jobs=...)``, the campaign
 orchestrator) created a ``multiprocessing.Pool`` per call: every call
@@ -7,33 +7,24 @@ in the parent at that moment.  :class:`SharedPool` inverts that:
 
 * **Workers are spawned once** (per registration generation, see
   below) and stay alive across calls; each holds the objects the
-  parent registered -- compiled netlist plans, shared-memory
-  workspaces, Monte-Carlo state -- so the per-call message is a task
-  name plus a few ints.  No plan, buffer or closure is ever pickled
-  per call.
-* **Results land in place** for the sharded netlist path: workspace
-  matrices are anonymous shared mappings
-  (:func:`repro.parallel.shm.shared_empty`), each worker writes its
-  own column range, and the parent reads the full matrix after the
-  join.  There is no inter-level barrier because the block axis is
-  embarrassingly parallel: every row a level reads was written by the
-  same column shard at an earlier level.
+  parent registered -- Monte-Carlo kernels and injector factories,
+  campaign unit lists and the store -- so the per-call message is a
+  task name plus a few ints.  No closure is ever pickled per call.
 * **Two transports** feed the workers.  Picklable objects
-  (:meth:`SharedPool.push_if_new` -- plans, delay vectors, seed lists)
+  (:meth:`SharedPool.push_if_new` -- seed lists, injector arguments)
   are broadcast over the worker pipes once, when they change.
-  Unpicklable or shared-mapping objects (:meth:`SharedPool.register`
-  -- workspaces, closures over injector factories and compiled
-  kernels) ride fork inheritance: registering one after the workers
-  exist marks the pool *stale*, and the next :meth:`SharedPool.run`
-  respawns the workers so they fork with the new state in memory.
-  Spawn cost is therefore amortized: registrations happen when a
-  circuit, sweep or campaign is first seen, and every hot-path call
-  after that reuses the same workers.
+  Unpicklable objects (:meth:`SharedPool.register` -- closures over
+  injector factories and compiled kernels) ride fork inheritance:
+  registering one after the workers exist marks the pool *stale*, and
+  the next :meth:`SharedPool.run` respawns the workers so they fork
+  with the new state in memory.  Spawn cost is therefore amortized:
+  registrations happen when a sweep or campaign is first seen, and
+  every hot-path call after that reuses the same workers.
 
 Tasks are module-level functions declared with :func:`pool_task` at
 import time (workers inherit the registry via fork); they receive the
 worker's object registry plus the per-call arguments and must return
-something picklable (or ``None`` when results land in shared memory).
+something picklable.
 
 Failure semantics: a worker exception travels back as a formatted
 traceback and re-raises as :class:`PoolError` in the parent after all
@@ -46,8 +37,8 @@ arrives within ``heartbeat_s`` (hung: the process is killed).  Lost
 workers trigger **one respawn-and-reassign cycle** for their in-flight
 calls; if workers keep dying, the pool logs a fallback and runs the
 remaining calls **serially in the parent** -- tasks are deterministic
-and idempotent (shared-memory shard writes, store puts), so results
-are bit-identical either way.  Workers ignore SIGINT (the parent
+and idempotent (trial chunks, store puts), so results are
+bit-identical either way.  Workers ignore SIGINT (the parent
 handles it) and exit on pipe EOF, so they cannot outlive a killed
 parent; an ``atexit`` hook additionally reaps every live pool of the
 owning process, and ``shutdown`` is idempotent, so a parent exception
@@ -195,43 +186,22 @@ def _worker_main(conn, registry: dict, stale_parent_ends: list,
     conn.close()
 
 
-def shard_ranges(n: int, shards: int) -> list[tuple[int, int]]:
-    """Split ``range(n)`` into contiguous near-equal (lo, hi) ranges."""
-    base, extra = divmod(n, shards)
-    ranges = []
-    lo = 0
-    for index in range(shards):
-        hi = lo + base + (1 if index < extra else 0)
-        if hi > lo:
-            ranges.append((lo, hi))
-        lo = hi
-    return ranges
-
-
 class SharedPool:
     """Persistent fork-worker pool with a fork-inherited object registry.
 
     Args:
-        workers: worker process count (>= 1; sharding helpers require
-            >= 2 to bother).
-        min_shard_vectors: narrowest column shard
-            :meth:`shard_columns` will produce; blocks narrower than
-            ``workers * min_shard_vectors`` run serially (the per-call
-            pipe round-trip would dominate).
+        workers: worker process count (>= 1; callers dispatch to the
+            pool only at >= 2).
         heartbeat_s: worker staleness timeout; a worker whose last
             heartbeat is older than this mid-call is killed as hung.
             ``None`` reads ``REPRO_POOL_HEARTBEAT_S`` (default 30);
             0 disables hung detection (EOF detection stays).
     """
 
-    def __init__(self, workers: int, min_shard_vectors: int = 64,
-                 heartbeat_s: float | None = None):
+    def __init__(self, workers: int, heartbeat_s: float | None = None):
         if workers < 1:
             raise ValueError("workers must be positive")
-        if min_shard_vectors < 1:
-            raise ValueError("min_shard_vectors must be positive")
         self.workers = int(workers)
-        self.min_shard_vectors = int(min_shard_vectors)
         self.heartbeat_s = default_heartbeat_s() if heartbeat_s is None \
             else float(heartbeat_s)
         self.owner_pid = os.getpid()
@@ -248,11 +218,10 @@ class SharedPool:
     def register(self, key, obj) -> None:
         """Make ``obj`` visible to workers via fork inheritance.
 
-        For objects that cannot travel a pipe: shared-memory
-        workspaces (pickling would copy them) and closures (cannot be
-        pickled at all).  Re-registering the same object is free;
-        registering a new object under a live pool marks it stale, and
-        the next :meth:`run` respawns the workers.
+        For objects that cannot travel a pipe, such as closures.
+        Re-registering the same object is free; registering a new
+        object under a live pool marks it stale, and the next
+        :meth:`run` respawns the workers.
         """
         if self._registry.get(key, _MISSING) is obj:
             return
@@ -281,18 +250,6 @@ class SharedPool:
                     self._stale = True
 
     # -- execution --------------------------------------------------------
-
-    def shard_columns(self, n_vectors: int) -> list[tuple[int, int]] | None:
-        """Column ranges for sharding a block, or None when not worth it.
-
-        Deterministic in (n_vectors, workers): a given total width
-        always produces the same ranges, so each worker sees a stable
-        shard width and its delay-tile cache stays hot.
-        """
-        if self.workers < 2 \
-                or n_vectors < self.workers * self.min_shard_vectors:
-            return None
-        return shard_ranges(n_vectors, self.workers)
 
     def run(self, task: str, calls: list[tuple]) -> list:
         """Execute ``task`` once per argument tuple; results in order.

@@ -18,18 +18,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import faults, native, parallel
+from repro import native, parallel
 from repro.bench.suite import build_kernel
 from repro.fi.base import FaultInjector
 from repro.mc.runner import run_point, run_trial, trial_seeds
 from repro.netlist.circuit import Circuit, CircuitError
 from repro.netlist.gates import GATE_KINDS, arity_of
-from repro.netlist.plan import (
-    F32_ATOL,
-    F32_RTOL,
-    ShardView,
-    propagate_sensitized,
-)
+from repro.netlist.plan import F32_ATOL, F32_RTOL
 from repro.sim.cpu import Cpu
 from repro.sim.machine import MachineConfig
 
@@ -51,8 +46,7 @@ def _bounds_oracle(monkeypatch):
     """Arm the static bounds oracle for every equivalence test.
 
     With ``REPRO_CHECK_BOUNDS=1`` each propagate in this file -- five
-    engines, both glitch models, serial and pool-sharded (workers
-    inherit the environment) -- is additionally checked against the
+    engines, both glitch models -- is additionally checked against the
     independent STA envelope, so the suite cross-checks engines
     against each other *and* against the static bounds at once.
     """
@@ -60,7 +54,7 @@ def _bounds_oracle(monkeypatch):
 
 
 @contextlib.contextmanager
-def _pool(workers: int, min_shard_vectors: int = 1):
+def _pool(workers: int):
     """Process-global pool for one test body, always torn down.
 
     ``workers=1`` intentionally configures *no* pool (the serial
@@ -68,26 +62,9 @@ def _pool(workers: int, min_shard_vectors: int = 1):
     means exactly what a user gets from ``--pool-workers 1``.
     """
     try:
-        yield parallel.configure_pool(
-            workers, min_shard_vectors=min_shard_vectors)
+        yield parallel.configure_pool(workers)
     finally:
         parallel.shutdown_pool()
-
-
-@contextlib.contextmanager
-def _thread_pool(workers: int, min_shard_vectors: int = 1):
-    """Process-global thread-shard pool for one test body.
-
-    Unlike :func:`_pool`, ``workers=1`` *does* install a (degenerate,
-    serial) pool -- that is the thread pool's documented contract, and
-    the sweeps below include it so the routing code runs even when no
-    sharding happens.
-    """
-    try:
-        yield parallel.configure_thread_pool(
-            workers, min_shard_vectors=min_shard_vectors)
-    finally:
-        parallel.shutdown_thread_pool()
 
 
 # ---------------------------------------------------------------------------
@@ -174,32 +151,6 @@ def test_f32_engine_within_documented_tolerance(case):
                                    err_msg=glitch_model)
 
 
-@given(random_circuits(), st.sampled_from([1, 2, 4]))
-@settings(max_examples=25, deadline=None)
-def test_sharded_propagate_identical_to_serial(case, workers):
-    """Pool-sharded propagate must be invisible at any worker count.
-
-    f64 shards are bit-identical to the single-core engine; f32
-    shards are bit-identical to the *serial f32* engine (sharding
-    never changes results, only the dtype contract does).
-    """
-    circuit, prev, new, delays, arrival = case
-    serial = {
-        (glitch_model, engine): circuit.propagate(
-            prev, new, delays, arrival, glitch_model, engine=engine)
-        for glitch_model in ("sensitized", "value-change")
-        for engine in ("compiled", "compiled-f32")
-    }
-    with _pool(workers):
-        for (glitch_model, engine), (out_s, arr_s) in serial.items():
-            out_p, arr_p = circuit.propagate(prev, new, delays, arrival,
-                                             glitch_model, engine=engine)
-            assert np.array_equal(out_p["y"], out_s["y"]), \
-                (glitch_model, engine, workers)
-            assert np.array_equal(arr_p["y"], arr_s["y"]), \
-                (glitch_model, engine, workers)
-
-
 @needs_native
 @given(random_circuits())
 @settings(max_examples=40, deadline=None)
@@ -242,34 +193,6 @@ def test_native_f32_within_documented_tolerance(case):
         np.testing.assert_allclose(arr32["y"], arr64["y"],
                                    rtol=F32_RTOL, atol=F32_ATOL,
                                    err_msg=glitch_model)
-
-
-@needs_native
-@given(random_circuits(), st.sampled_from([1, 2]))
-@settings(max_examples=15, deadline=None)
-def test_native_sharded_identical_to_serial(case, workers):
-    """Pool-sharded native kernels over shared mappings: invisible.
-
-    Workers run the fused C kernels on their column ranges of the
-    MAP_SHARED workspaces; results must be bit-identical to the serial
-    native engine at any worker count (and native-f64 therefore to
-    compiled-f64 too).
-    """
-    circuit, prev, new, delays, arrival = case
-    serial = {
-        (glitch_model, engine): circuit.propagate(
-            prev, new, delays, arrival, glitch_model, engine=engine)
-        for glitch_model in ("sensitized", "value-change")
-        for engine in ("compiled-native", "native-f32")
-    }
-    with _pool(workers):
-        for (glitch_model, engine), (out_s, arr_s) in serial.items():
-            out_p, arr_p = circuit.propagate(prev, new, delays, arrival,
-                                             glitch_model, engine=engine)
-            assert np.array_equal(out_p["y"], out_s["y"]), \
-                (glitch_model, engine, workers)
-            assert np.array_equal(arr_p["y"], arr_s["y"]), \
-                (glitch_model, engine, workers)
 
 
 def test_native_engine_unavailable_is_a_clean_error(monkeypatch):
@@ -365,7 +288,7 @@ def test_width_one_levels_chain_all_engines():
 
 
 def _wide_xor_chain(n_vectors=160):
-    """A small circuit plus a block wide enough to shard at 2 workers."""
+    """A small four-level circuit plus a 160-vector stimulus block."""
     circuit = Circuit("wide")
     a = circuit.input_bus("a", 4)
     b = circuit.input_bus("b", 4)
@@ -382,113 +305,14 @@ def _wide_xor_chain(n_vectors=160):
     return circuit, prev, new
 
 
-def test_pooled_workspace_buffers_are_shared_mappings():
-    """Sharded runs write shared mappings; serial runs stay private."""
-    circuit, prev, new = _wide_xor_chain()
-    delays = np.full(circuit.n_gates, 2.0)
-    with _pool(2):
-        circuit.propagate(prev, new, delays, 1.0, engine="compiled")
-    shared_ws = circuit._workspaces[(160, "<f8", True)]
-    for matrix in (shared_ws.new, shared_ws.events, shared_ws.settles):
-        assert parallel.is_shared(matrix)
-    circuit.propagate(prev, new, delays, 1.0, engine="compiled")
-    serial_ws = circuit._workspaces[(160, "<f8", False)]
-    assert not parallel.is_shared(serial_ws.new)
 
-
-def test_pooled_propagate_sees_in_place_delay_mutation():
-    """Mutating a pushed delay array must reach the workers.
-
-    The pooled path compares delays by value against its last pushed
-    snapshot (like the serial delay-tile cache); keying by object
-    identity alone would serve stale delays after an in-place `*=`.
-    """
-    circuit, prev, new = _wide_xor_chain()
-    delays = np.full(circuit.n_gates, 2.0)
-    with _pool(2):
-        circuit.propagate(prev, new, delays, 1.0, engine="compiled")
-        delays *= 3.0  # same object, new values
-        _, pooled = circuit.propagate(prev, new, delays, 1.0,
-                                      engine="compiled")
-    _, serial = circuit.propagate(prev, new, delays, 1.0,
-                                  engine="compiled")
-    assert np.array_equal(pooled["y"], serial["y"])
-
-
-def test_pooled_propagate_survives_pool_reconfiguration():
-    """A reconfigured pool starts empty; the delays must be re-pushed.
-
-    The circuit-side snapshot guard keys on the pool instance: with
-    equal delay values but a fresh pool, skipping the push would leave
-    the new workers without the delay vector (KeyError -> PoolError).
-    """
-    circuit, prev, new = _wide_xor_chain()
-    delays = np.full(circuit.n_gates, 2.0)
-    _, serial = circuit.propagate(prev, new, delays, 1.0,
-                                  engine="compiled")
-    with _pool(2):
-        circuit.propagate(prev, new, delays, 1.0, engine="compiled")
-    with _pool(2):  # fresh pool, same circuit, same delay values
-        _, again = circuit.propagate(prev, new, delays, 1.0,
-                                     engine="compiled")
-    assert np.array_equal(again["y"], serial["y"])
-
-
-# ---------------------------------------------------------------------------
-# Thread-sharded native engine (zero-IPC block-axis sharding)
-# ---------------------------------------------------------------------------
-
-@needs_native
-@given(random_circuits(), st.sampled_from([1, 2, 4]))
-@settings(max_examples=15, deadline=None)
-def test_native_thread_sharded_identical_to_serial(case, workers):
-    """Thread-sharded native propagate: invisible at any worker count.
-
-    f64 shards must be bit-identical to the serial native engine (and
-    native-f64 is bit-identical to compiled-f64, so transitively to
-    the numpy engine too); f32 shards are bit-identical to the serial
-    f32 engine and stay within the relaxed-identity contract against
-    float64 -- sharding never changes results, only the dtype
-    contract does.
-    """
-    circuit, prev, new, delays, arrival = case
-    serial = {
-        (glitch_model, engine): circuit.propagate(
-            prev, new, delays, arrival, glitch_model, engine=engine)
-        for glitch_model in ("sensitized", "value-change")
-        for engine in ("compiled", "compiled-native", "native-f32")
-    }
-    with _thread_pool(workers):
-        for glitch_model in ("sensitized", "value-change"):
-            for engine in ("compiled-native", "native-f32"):
-                out_t, arr_t = circuit.propagate(
-                    prev, new, delays, arrival, glitch_model,
-                    engine=engine)
-                out_s, arr_s = serial[(glitch_model, engine)]
-                assert np.array_equal(out_t["y"], out_s["y"]), \
-                    (glitch_model, engine, workers)
-                assert np.array_equal(arr_t["y"], arr_s["y"]), \
-                    (glitch_model, engine, workers)
-            # Cross-dtype anchors (so bit-identity above transitively
-            # pins the sharded runs): native-f64 bit-identical to the
-            # numpy engine, f32 within F32_RTOL/F32_ATOL of it.
-            _, arr64 = serial[(glitch_model, "compiled")]
-            assert np.array_equal(
-                serial[(glitch_model, "compiled-native")][1]["y"],
-                arr64["y"])
-            np.testing.assert_allclose(
-                serial[(glitch_model, "native-f32")][1]["y"],
-                arr64["y"], rtol=F32_RTOL, atol=F32_ATOL,
-                err_msg=str((glitch_model, workers)))
-
-
-@needs_native
 def test_thread_sharded_edge_shapes():
-    """Width-1 buses, single gates and single vectors under threads.
+    """Block shapes at the edges of the old column sharding, serially.
 
-    Four workers with ``min_shard_vectors=1`` force real sharding on
-    tiny blocks (and degenerate one-column shards); a single-vector
-    block must fall back to serial via ``shard_columns -> None``.
+    Propagate runs single-threaded in every engine; the narrow blocks
+    (one, four and seven vectors through a single gate) and the
+    160-vector chain that used to be split into column shards must
+    still match the reference engine bit for bit.
     """
     single = Circuit("thread-single")
     a = single.input_bus("a", 1)[0]
@@ -505,86 +329,40 @@ def test_thread_sharded_edge_shapes():
     cases.append((wide, prev, new, np.full(wide.n_gates, 2.0)))
     for circuit, prev, new, delays in cases:
         for glitch_model in ("sensitized", "value-change"):
-            out_s, arr_s = circuit.propagate(prev, new, delays, 1.5,
+            out_r, arr_r = circuit.propagate(prev, new, delays, 1.5,
                                              glitch_model,
-                                             engine="compiled-native")
-            with _thread_pool(4):
-                out_t, arr_t = circuit.propagate(
-                    prev, new, delays, 1.5, glitch_model,
-                    engine="compiled-native")
-            assert np.array_equal(out_t["y"], out_s["y"]), \
-                (circuit.name, glitch_model)
-            assert np.array_equal(arr_t["y"], arr_s["y"]), \
-                (circuit.name, glitch_model)
+                                             engine="reference")
+            for engine in _engines_under_test():
+                out_e, arr_e = circuit.propagate(prev, new, delays, 1.5,
+                                                 glitch_model,
+                                                 engine=engine)
+                assert np.array_equal(out_e["y"], out_r["y"]), \
+                    (circuit.name, len(prev["a"]), glitch_model, engine)
+                assert np.array_equal(arr_e["y"], arr_r["y"]), \
+                    (circuit.name, len(prev["a"]), glitch_model, engine)
 
+@pytest.mark.parametrize("engine", [
+    "compiled", "compiled-f32",
+    pytest.param("compiled-native", marks=needs_native),
+    pytest.param("native-f32", marks=needs_native)])
+def test_propagate_sees_in_place_delay_mutation(engine):
+    """Mutating a cached delay array in place must reach the engine.
 
-@needs_native
-def test_thread_shard_fault_heals_byte_identical():
-    """An injected ``threads.shard`` fault heals serially, invisibly.
-
-    The first shard dispatch trips; the pool re-runs that column
-    range in the dispatching thread.  Column writes are idempotent
-    and disjoint, so the healed call must be byte-identical to both
-    the unfaulted sharded run and the serial engine.
+    ``CompiledPlan.delay_mats`` and ``NativeDesc.delays_rowed`` key
+    their one-slot caches on the delay array's identity *and* compare
+    its values; keying by identity alone would serve stale delays
+    after an in-place ``*=``.
     """
     circuit, prev, new = _wide_xor_chain()
     delays = np.full(circuit.n_gates, 2.0)
-    out_s, arr_s = circuit.propagate(prev, new, delays, 1.0,
-                                     engine="compiled-native")
-    try:
-        plane = faults.configure("threads.shard:raise@after=1")
-        with _thread_pool(4):
-            out_h, arr_h = circuit.propagate(prev, new, delays, 1.0,
-                                             engine="compiled-native")
-        assert [(r["site"], r["mode"]) for r in plane.fired] \
-            == [("threads.shard", "raise")]
-    finally:
-        faults.reset()
-    assert np.array_equal(out_h["y"], out_s["y"])
-    assert np.array_equal(arr_h["y"], arr_s["y"])
-
-
-@needs_native
-def test_thread_routed_native_skips_fork_pool():
-    """Native engines never engage the fork pool when threads exist.
-
-    With both pools configured, a native propagate must leave the
-    fork pool unspawned and its registry free of netlist keys (no
-    stale shared-workspace registrations to leak); a numpy-engine
-    propagate in the same process still routes to the fork pool.
-    """
-    circuit, prev, new = _wide_xor_chain()
-    delays = np.full(circuit.n_gates, 2.0)
-    out_s, arr_s = circuit.propagate(prev, new, delays, 1.0,
-                                     engine="compiled-native")
-    with _pool(2) as pool, _thread_pool(2):
-        out_t, arr_t = circuit.propagate(prev, new, delays, 1.0,
-                                         engine="compiled-native")
-        assert pool.spawn_count == 0
-        assert not any(str(key[0]).startswith("netlist")
-                       for key in pool._registry)
-        circuit.propagate(prev, new, delays, 1.0, engine="compiled")
-        assert any(key[0] == "netlist-ws" for key in pool._registry)
-    assert np.array_equal(out_t["y"], out_s["y"])
-    assert np.array_equal(arr_t["y"], arr_s["y"])
-
-
-def test_pool_reconfigure_drops_workspace_registrations():
-    """A fresh fork pool starts with an empty registry.
-
-    Shared-workspace registrations belong to one pool generation;
-    reconfiguring must not leak them into the next pool (the circuit
-    re-registers lazily on the next pooled propagate).
-    """
-    circuit, prev, new = _wide_xor_chain()
-    delays = np.full(circuit.n_gates, 2.0)
-    with _pool(2) as pool:
-        circuit.propagate(prev, new, delays, 1.0, engine="compiled")
-        assert any(key[0] == "netlist-ws" for key in pool._registry)
-    with _pool(2) as fresh:
-        assert fresh._registry == {}
-        circuit.propagate(prev, new, delays, 1.0, engine="compiled")
-        assert any(key[0] == "netlist-ws" for key in fresh._registry)
+    circuit.propagate(prev, new, delays, 1.0, engine=engine)
+    delays *= 3.0  # same object, new values
+    out_m, arr_m = circuit.propagate(prev, new, delays, 1.0,
+                                     engine=engine)
+    out_f, arr_f = circuit.propagate(prev, new, delays.copy(), 1.0,
+                                     engine=engine)
+    assert np.array_equal(out_m["y"], out_f["y"])
+    assert np.array_equal(arr_m["y"], arr_f["y"])
 
 
 def test_gather_scratch_fast_path_contiguity(monkeypatch):
@@ -592,9 +370,7 @@ def test_gather_scratch_fast_path_contiguity(monkeypatch):
 
     numpy silently buffers (copies the whole source, measured ~90x)
     when either side of ``np.take(out=)`` is non-contiguous.  A
-    full-width serial propagate must hit the fast path with both
-    sides C-contiguous; a column-sliced shard view must never reach
-    ``out=`` at all (it keeps the fancy-index gather).
+    propagate must hit the fast path with both sides C-contiguous.
     """
     circuit, prev, new = _wide_xor_chain()
     delays = np.full(circuit.n_gates, 2.0)
@@ -611,12 +387,6 @@ def test_gather_scratch_fast_path_contiguity(monkeypatch):
     circuit.propagate(prev, new, delays, 1.0, engine="compiled")
     assert out_calls, "serial propagate no longer uses np.take(out=)"
     assert all(src and dst for src, dst in out_calls)
-    out_calls.clear()
-    ws = circuit._workspaces[(160, "<f8", False)]
-    propagate_sensitized(circuit.plan, ShardView(ws, 0, 80),
-                         np.asarray(delays, dtype=float))
-    assert not out_calls, \
-        "a column-sliced shard view reached the np.take(out=) path"
 
 
 def test_plan_invalidated_by_gate_add():

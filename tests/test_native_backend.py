@@ -309,6 +309,40 @@ def test_runtime_failure_latch_degrades_engine_selection():
     assert native.runtime_failure() is None
 
 
+@needs_native
+@pytest.mark.parametrize("engine,numpy_engine", [
+    ("compiled-native", "compiled"), ("native-f32", "compiled-f32")])
+@pytest.mark.parametrize("schedule", ["fail@p=1.0", "fail@after=1"])
+def test_degrade_latch_holds_for_explicit_native_callers(
+        alu, tmp_path, monkeypatch, clean_faults, engine, numpy_engine,
+        schedule):
+    """A latched degrade sends every later block straight to numpy.
+
+    Four 512-vector blocks on a fresh cache: the first block's build
+    fails and latches the degrade.  A persistent failure must cost
+    one compile attempt, not one per block, and a one-shot failure
+    must not rebuild the library for block 2 -- which at float32
+    would mix native and numpy blocks in one characterization.
+    """
+    from repro.timing.dta import run_dta
+
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+    expected = run_dta(alu, "l.add", 2048, engine=numpy_engine)
+    native.clear_runtime_failure()
+    plane = clean_faults.configure(f"native.compile:{schedule}")
+    count = build_mod.build_count
+    try:
+        result = run_dta(alu, "l.add", 2048, engine=engine)
+        assert native.runtime_failure() is not None
+    finally:
+        native.clear_runtime_failure()
+    hits = [record for record in plane.fired
+            if record["site"] == "native.compile"]
+    assert len(hits) == 1
+    assert build_mod.build_count == count
+    assert np.array_equal(result.critical_ps, expected.critical_ps)
+
+
 def test_engines_cli_strict_exit_codes(capsys, monkeypatch):
     native.clear_runtime_failure()
     if native.native_available():

@@ -298,22 +298,6 @@ class TestExport:
         assert split["queue_wait_ms"] == pytest.approx(2.0)
         assert obs.pool_split([]) is None
 
-    def test_thread_split(self, tmp_path):
-        trace = tmp_path / "t.jsonl"
-        obs.configure(trace)
-        with obs.span("threads.shard", lo=0, hi=64):
-            pass
-        with obs.span("threads.shard", lo=64, hi=128, healed=True):
-            pass
-        obs.shutdown()
-        split = obs.thread_split(obs.read_trace(trace))
-        assert split["shards"] == 2
-        assert split["healed"] == 1
-        assert split["threads"] >= 1
-        assert split["window_ms"] >= 0
-        assert sum(split["busy_ms"].values()) >= 0
-        assert obs.thread_split([]) is None
-
     def test_adopted_parent_links_worker_spans(self, tmp_path):
         """A worker-thread span adopts the dispatcher's span as parent."""
         import threading
