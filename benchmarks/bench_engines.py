@@ -15,6 +15,7 @@ slower, timing it with full rounds would dominate the suite).
 from __future__ import annotations
 
 import gc
+import importlib.util
 import json
 import os
 import time
@@ -34,6 +35,7 @@ from repro.netlist.plan import F32_ATOL, F32_RTOL
 from repro.sim.cpu import Cpu
 from repro.sim.exceptions import IllegalInstruction
 from repro.store import ResultStore
+from repro.timing.characterize import characterization_key
 from repro.timing.dta import run_dta
 from repro.timing.noise import VoltageNoise
 
@@ -307,6 +309,57 @@ def test_fig4_warm_store(benchmark, ctx, scale, tmp_path):
     benchmark(lambda: fig4.run(scale, context=ctx, store=store))
     _record(f"fig4[{scale.name},warm-store]", benchmark.stats.stats.min,
             cold_s)
+
+
+def _store_spec():
+    """The old put formulation, kept as the spec in tests/test_store.py."""
+    path = Path(__file__).resolve().parent.parent / "tests" / "test_store.py"
+    spec = importlib.util.spec_from_file_location("_store_spec", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_store_put_characterization(benchmark, ctx, scale, tmp_path):
+    """One ``ResultStore.put`` of a quick-scale characterization vs the
+    old formulation (four passes over the base64 body as ``str``) plus
+    the same backend write and manifest append.  Both must write the
+    same bytes; fsync is on for both, as in a campaign.  Like the
+    ``iss`` row, the committed ratio is the median of three windows,
+    each the best of five calls of either path.
+    """
+    spec = _store_spec()
+    characterization = ctx.characterization(0.7)
+    key = characterization_key(ctx.alu, characterization.config)
+    store = ResultStore(tmp_path / "store")
+
+    def put():
+        store.put(key, characterization, label="bench")
+
+    def reference():
+        created = time.time()
+        body = spec._spec_encode(characterization.to_json())
+        data = spec._spec_envelope(key, body, "bench", created)
+        sha = store.key_of(key)
+        store.backend.write(store._object_name(sha), data)
+        store._manifest_add(store._entry_of(
+            {"sha256": sha, "key": key, "label": "bench",
+             "created_unix": created}, len(data)))
+
+    benchmark(put)
+    path = store._object_path(store.key_of(key))
+    written = path.read_bytes()
+    created = json.loads(written)["created_unix"]
+    body = spec._spec_encode(characterization.to_json())
+    assert written == spec._spec_envelope(key, body, "bench", created)
+    windows = []
+    for _ in range(3):
+        put_s = _time_best(put, reps=5)
+        reference_s = _time_best(reference, reps=5)
+        windows.append((reference_s / put_s, put_s, reference_s))
+    _, put_s, reference_s = sorted(windows)[1]
+    _record(f"store_put[alu_characterization,{scale.name}]", put_s,
+            reference_s, n_bytes=len(written))
 
 
 def _compiled_cpu(kernel) -> Cpu:

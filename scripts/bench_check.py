@@ -2,12 +2,14 @@
 """Perf-regression gate over the committed ``BENCH_engines.json``.
 
 Reruns the engine micro-benchmarks at **reduced size** (half block
-width, only the engine rows -- the warm-store figure rows measure
-store plumbing, not engines) into a scratch JSON, then compares every
-re-measured row's speedup against the committed trajectory:
+width, only the engine rows and the store-put row -- the warm-store
+figure rows time whole reruns, not one layer) into a scratch JSON,
+then compares every re-measured row's speedup against the committed
+trajectory:
 
-* Pure-compute rows (propagate/run_dta/run_point engine paths and the
-  native-vs-Python ISS row ``iss[...]``) must
+* Pure-compute rows (propagate/run_dta/run_point engine paths, the
+  native-vs-Python ISS row ``iss[...]`` and the single-pass store put
+  ``store_put[...]``) must
   hold ``speedup >= (1 - TOLERANCE) * committed`` with the default
   20 % tolerance: an engine change that costs more than that fails
   the build.
@@ -41,8 +43,9 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 #: Rows rerun at reduced size (warm-store figure rows excluded: they
-#: benchmark the result store, which has its own smoke coverage).
-ROW_FILTER = "propagate or run_dta or run_point or iss"
+#: time whole figure reruns, which have their own smoke coverage; the
+#: ``store_put`` row times one put against the old formulation).
+ROW_FILTER = "propagate or run_dta or run_point or iss or store_put"
 
 TOLERANCE = float(os.environ.get("REPRO_BENCH_CHECK_TOL", "0.2"))
 POOL_TOLERANCE = float(os.environ.get("REPRO_BENCH_CHECK_POOL_TOL",
@@ -103,7 +106,8 @@ def main() -> int:
     for name in sorted(baseline):
         if name in measured or not any(
                 token in name for token
-                in ("propagate", "run_dta", "run_point", "iss[")):
+                in ("propagate", "run_dta", "run_point", "iss[",
+                    "store_put[")):
             continue
         if ("native" in name or name.startswith("iss[")) \
                 and not native_here:

@@ -21,7 +21,6 @@ from repro.obs.export import (  # noqa: F401
     unit_times,
 )
 from repro.obs.plane import (  # noqa: F401
-    adopted_parent,
     configure,
     counter,
     current_span_id,

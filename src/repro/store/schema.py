@@ -61,7 +61,11 @@ def schema_versions() -> dict[str, int]:
 
 
 def artifact_to_json(kind: str, artifact) -> dict:
-    """Serialize an artifact into its canonical JSON body."""
+    """Serialize an artifact into its canonical JSON body.
+
+    Numpy values may be left raw (the characterization's matrices
+    are): :func:`repro.store.serialize.skeleton` encodes them.
+    """
     current_schema(kind)  # validate the kind early
     return artifact.to_json()
 

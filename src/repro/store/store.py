@@ -21,6 +21,17 @@ speaks the same five primitives to a shared object service
 envelope semantics -- checksums, schema staleness, quarantine -- are
 backend-independent and live here.
 
+Each ``put`` serializes its artifact in one pass
+(:mod:`repro.store.serialize`): the body is walked once into a small
+JSON skeleton plus the base64 bytes of its arrays; the C ``json``
+encoder emits the skeleton twice -- sorted keys for the body
+checksum, streamed into SHA-256, and insertion order for the envelope
+-- and the payload bytes are spliced in verbatim.  Base64 needs no
+JSON escaping, so the envelope is byte-for-byte what ``json.dumps``
+of the encoded envelope would be, and a multi-megabyte DTA
+characterization is never scanned as a Python ``str``.  ``get``
+verifies the checksum with the same hasher.
+
 Robustness rules:
 
 * Writes are **atomic**: the envelope is written to a temp file in the
@@ -68,7 +79,8 @@ from repro.store.backend import FsBackend, StoreBackend, fsync_dir, \
 from repro.store.retry import RetryPolicy
 from repro.store.schema import artifact_from_json, artifact_to_json, \
     current_schema
-from repro.store.serialize import canonical_json, key_hash
+from repro.store.serialize import canonical_json, digest, dump, \
+    key_hash, skeleton
 
 try:
     import fcntl
@@ -170,7 +182,7 @@ class ResultStore:
         kind = key_payload["kind"]
         with obs.span("store.put", kind=kind):
             sha = self.key_of(key_payload)
-            body = artifact_to_json(kind, artifact)
+            body = skeleton(artifact_to_json(kind, artifact))
             envelope = {
                 "format": FORMAT,
                 "sha256": sha,
@@ -181,21 +193,21 @@ class ResultStore:
                 # Body checksum, verified on get(): detects torn or
                 # bit-rotted artifact bodies behind a parseable
                 # envelope.
-                "body_sha256": key_hash(body),
+                "body_sha256": digest(body),
             }
             name = self._object_name(sha)
-            text = json.dumps(envelope, separators=(",", ":"))
+            data = b"".join(dump(envelope))
             self._retry("object write",
-                        lambda: self._write_object(name, text,
+                        lambda: self._write_object(name, data,
                                                    if_absent=if_absent))
             if self._fs is not None:
-                entry = self._entry_of(envelope, len(text))
+                entry = self._entry_of(envelope, len(data))
                 self._retry("manifest append",
                             lambda: self._manifest_add(entry))
-            obs.counter("store.put_bytes", len(text))
+            obs.counter("store.put_bytes", len(data))
         return sha
 
-    def _write_object(self, name: str, text: str, *,
+    def _write_object(self, name: str, data: bytes, *,
                       if_absent: bool = False) -> None:
         mode = faults.fire("store.object_write")
         if mode == "oserror":
@@ -205,8 +217,8 @@ class ResultStore:
             # An acknowledged-but-torn write: the atomic machinery runs,
             # but half the payload is lost.  get() must catch this via
             # parse/checksum failure and quarantine the object.
-            text = text[:len(text) // 2]
-        self.backend.write(name, text.encode(), if_absent=if_absent)
+            data = data[:len(data) // 2]
+        self.backend.write(name, data, if_absent=if_absent)
 
     def _retry(self, what: str, func):
         """Run a write-path step, absorbing transient OSErrors."""

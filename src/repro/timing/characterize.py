@@ -217,19 +217,22 @@ class AluCharacterization:
                    worst_sta_period_ps=worst_sta)
 
     def to_json(self) -> dict:
-        """Lossless JSON body (schema ``ALU_CHARACTERIZATION_SCHEMA``).
+        """Lossless store body (schema ``ALU_CHARACTERIZATION_SCHEMA``).
 
         Only the raw per-instruction critical-period matrices travel
         (exact dtype preserved); CDFs and grids are rebuilt
-        deterministically on load, exactly like :meth:`load`.
+        deterministically on load, exactly like :meth:`load`.  The
+        matrices stay ndarrays: the result store's serializer
+        base64-encodes them straight into the envelope bytes
+        (:func:`repro.store.serialize.encode` gives the JSON-native
+        form).
         """
-        from repro.store.serialize import encode
         return {
             "schema": ALU_CHARACTERIZATION_SCHEMA,
             "config": asdict(self.config),
             "worst_sta_period_ps": float(self.worst_sta_period_ps),
             "critical_ps": {
-                mnemonic: encode(table.critical_rows)
+                mnemonic: table.critical_rows
                 for mnemonic, table in self.cdfs.items()
             },
         }

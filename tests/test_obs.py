@@ -298,34 +298,6 @@ class TestExport:
         assert split["queue_wait_ms"] == pytest.approx(2.0)
         assert obs.pool_split([]) is None
 
-    def test_adopted_parent_links_worker_spans(self, tmp_path):
-        """A worker-thread span adopts the dispatcher's span as parent."""
-        import threading
-
-        trace = tmp_path / "t.jsonl"
-        obs.configure(trace)
-        with obs.span("circuit.propagate"):
-            parent = obs.current_span_id()
-
-            def worker():
-                with obs.adopted_parent(parent):
-                    with obs.span("threads.shard", lo=0, hi=8):
-                        pass
-
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-            # Adoption is confined to the worker's own stack.
-            assert obs.current_span_id() == parent
-        obs.shutdown()
-        spans = {r["name"]: r for r in obs.spans(obs.read_trace(trace))}
-        assert spans["threads.shard"]["parent"] \
-            == spans["circuit.propagate"]["id"]
-        # Disabled or parentless adoption is a no-op.
-        obs.reset()
-        with obs.adopted_parent(None):
-            assert obs.current_span_id() is None
-
 
 class TestFaultCrossRef:
     def test_fired_faults_carry_mono_and_span(self, tmp_path):

@@ -1,14 +1,24 @@
 """Tests for the content-addressed result store and its serializers."""
 
+import base64
+import hashlib
 import json
+import re
+import tempfile
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mc.results import MC_POINT_SCHEMA, McPoint, TrialResult
 from repro.mc.sweep import FrequencySweep
-from repro.store import ResultStore, canonical_json, decode, encode, \
-    key_hash
+from repro.store import KINDS, ResultStore, canonical_json, \
+    current_schema, decode, encode, key_hash
+from repro.store.serialize import NDARRAY_TAG, PLACEHOLDER, digest, \
+    dump, skeleton
+from repro.store.store import FORMAT
 from repro.timing.cdf import CdfGrid, EndpointCdfs
 from repro.timing.characterize import (
     ALU_CHARACTERIZATION_SCHEMA,
@@ -146,7 +156,7 @@ class TestCharacterizationJson:
     def test_round_trip_bit_identical(self):
         char = self._characterization()
         back = AluCharacterization.from_json(
-            json.loads(json.dumps(char.to_json())))
+            json.loads(json.dumps(encode(char.to_json()))))
         assert back.config == char.config
         assert back.worst_sta_period_ps == char.worst_sta_period_ps
         assert back.mnemonics == char.mnemonics
@@ -922,3 +932,277 @@ class TestFsBackend:
         ping = backend.ping()
         assert ping["ok"] and ping["backend"] == "fs"
         assert ping["objects"] == 0
+
+
+# -- single-pass put vs the old formulation ------------------------------
+#
+# The executable spec: the encoder, key hash and envelope text the store
+# used before ``put`` spliced array payloads into a C-encoded skeleton,
+# copied verbatim.  The new put must write these exact bytes.
+
+def _spec_encode(value):
+    if isinstance(value, dict):
+        return {_spec_string_key(key): _spec_encode(item)
+                for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spec_encode(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return _spec_encode_array(value)
+    if isinstance(value, np.generic):
+        # bool_/integer/floating scalars: a 0-d array keeps the dtype.
+        return _spec_encode_array(np.asarray(value))
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    raise TypeError(f"cannot encode {type(value).__name__} for the store")
+
+
+def _spec_string_key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"store dict keys must be strings, got {key!r}")
+    return key
+
+
+def _spec_encode_array(array: np.ndarray) -> dict:
+    if array.dtype.hasobject:
+        raise TypeError("object arrays cannot be stored")
+    contiguous = np.ascontiguousarray(array)
+    return {
+        NDARRAY_TAG: True,
+        "dtype": array.dtype.str,
+        "shape": list(array.shape),
+        "data": base64.b64encode(contiguous.tobytes()).decode("ascii"),
+    }
+
+
+def _spec_canonical_json(payload) -> str:
+    return json.dumps(_spec_encode(payload), sort_keys=True,
+                      separators=(",", ":"))
+
+
+def _spec_key_hash(payload) -> str:
+    return hashlib.sha256(_spec_canonical_json(payload).encode()).hexdigest()
+
+
+def _spec_envelope(key_payload, body, label, created_unix) -> bytes:
+    """The old ``put``: ``body`` is the artifact's encoded JSON body."""
+    envelope = {
+        "format": FORMAT,
+        "sha256": _spec_key_hash(key_payload),
+        "label": label,
+        "created_unix": created_unix,
+        "key": json.loads(_spec_canonical_json(key_payload)),
+        "artifact": body,
+        "body_sha256": _spec_key_hash(body),
+    }
+    text = json.dumps(envelope, separators=(",", ":"))
+    return text.encode()
+
+
+class _Body:
+    """Artifact whose ``to_json`` hands over a fixed body."""
+
+    def __init__(self, body):
+        self.body = body
+
+    def to_json(self):
+        return self.body
+
+
+def _put_matches_spec(store, key, artifact, spec_body, label=""):
+    """Put, then check the object against the spec; returns its bytes."""
+    store.put(key, artifact, label=label)
+    path = store._object_path(store.key_of(key))
+    written = path.read_bytes()
+    envelope = json.loads(written)
+    assert written == _spec_envelope(key, spec_body, label,
+                                     envelope["created_unix"])
+    assert envelope["body_sha256"] == _spec_key_hash(spec_body)
+    # The get-side checksum runs through the same hasher.
+    assert digest(skeleton(envelope["artifact"])) \
+        == envelope["body_sha256"]
+    return written
+
+
+_PLACEHOLDERS = [PLACEHOLDER.format(attempt) for attempt in range(3)]
+_ARRAY_DTYPES = ["<f8", ">f8", "<f4", "<f2", "<i8", "<u8", "<i4", "|u1",
+                 "|i1", "|b1", "<c16"]
+
+
+def _arrays():
+    plain = hnp.arrays(
+        dtype=st.sampled_from(_ARRAY_DTYPES).map(np.dtype),
+        shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                               max_side=4))
+    strided = plain.filter(lambda array: array.ndim >= 1).map(
+        lambda array: array[..., ::2])  # non-contiguous views
+    transposed = plain.filter(lambda array: array.ndim >= 2).map(
+        lambda array: array.T)
+    return st.one_of(plain, strided, transposed)
+
+
+_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.text(alphabet=st.characters(max_codepoint=0x1f), max_size=4),
+    st.sampled_from(_PLACEHOLDERS + ['"', "\\", "é☃"]),
+)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(min_value=-(1 << 70), max_value=1 << 70),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308 / 3]),
+    _TEXT,
+    _arrays(),
+    _arrays().filter(lambda array: array.ndim == 0).map(
+        lambda array: array[()]),  # numpy scalars
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4)),
+    max_leaves=16)
+
+
+def _artifact_of_every_kind(characterization):
+    from repro.analysis.sta import build_report
+    from repro.campaign.failures import UnitFailure
+    from repro.experiments import fig2, fig4
+    from repro.experiments.ablations import AdderTopologyAblation
+    from repro.experiments.table1 import Table1Row
+    from repro.netlist.circuit import Circuit
+
+    circuit = Circuit("rt")
+    a = circuit.input_bus("a", 2)
+    circuit.output_bus("y", [circuit.gate("XOR2", *a)])
+    rng = np.random.default_rng(3)
+    return {
+        "mc_point": _point(),
+        "frequency_sweep": FrequencySweep(
+            kernel_name="median", frequencies_hz=[7.0e8, 7.1e8],
+            points=[_point("a"), _point("b")], sta_limit_hz=7.071e8,
+            config={"vdd": np.float64(0.7), "sigma_v": 0.01}),
+        "alu_characterization": characterization,
+        "fig2_curve": fig2.CdfCurve(
+            mnemonic="l.mul", bit=24, vdd=0.7,
+            frequencies_hz=np.linspace(8e8, 2e9, 17),
+            probabilities=rng.random(17)),
+        "fig4_curve": fig4.InstructionMseCurve(
+            label="l.add 16-bit", mnemonic="l.add", operand_bits=15,
+            frequencies_hz=np.linspace(6.5e8, 1.25e9, 13),
+            mse=rng.random(13) * 1e9),
+        "adder_ablation": AdderTopologyAblation(
+            poffs_hz={"ripple": (8.77e8, 7.46e8),
+                      "kogge-stone": (1.1e9, 9.9e8)}),
+        "table1_row": Table1Row(
+            name="median", size="quick", cycles=4321,
+            kernel_cycles=4000, compute_fraction=0.25,
+            control_fraction=0.5, compute_rating="low",
+            control_rating="high", error_metric="relative érror"),
+        "unit_failure": UnitFailure(
+            label="fig5:p1", error="Traceback\n\t\"boom\"\x01",
+            attempts=3, last_unix=1.5e9),
+        "sta_report": build_report(circuit, np.array([3.25]),
+                                   input_arrival_ps=0.75,
+                                   overhead_ps=2.0, clock_ps=10.0),
+    }
+
+
+class TestSinglePassPut:
+    """The spliced put writes the old formulation's bytes exactly."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(payload=_PAYLOADS, label=_TEXT)
+    def test_generated_payloads_match_spec(self, payload, label):
+        spec_body = _spec_encode(payload)
+        with tempfile.TemporaryDirectory() as root:
+            store = ResultStore(root)
+            raw = _put_matches_spec(store, _key(), _Body(payload),
+                                    spec_body, label)
+            # A body that arrives pre-encoded (base64 text) splices to
+            # the same bytes.
+            text = _put_matches_spec(store, _key(), _Body(spec_body),
+                                     spec_body, label)
+        created = re.compile(rb'"created_unix":[-+0-9.eE]+,')
+        assert created.sub(b"", raw) == created.sub(b"", text)
+
+    def test_every_artifact_kind_matches_spec(self, tmp_path,
+                                              characterization):
+        artifacts = _artifact_of_every_kind(characterization)
+        assert set(artifacts) == set(KINDS)
+        store = ResultStore(tmp_path / "store")
+        for kind, artifact in artifacts.items():
+            key = {"kind": kind, "schema": current_schema(kind),
+                   "experiment": "spec", "seed": 0}
+            # The old put dumped a JSON-native body; the spec encoder
+            # leaves the other kinds' bodies as they are and base64s
+            # the characterization's raw matrices.
+            _put_matches_spec(store, key, artifact,
+                              _spec_encode(artifact.to_json()), label=kind)
+            back = store.get(key)
+            assert back is not None, kind
+            assert _spec_key_hash(back.to_json()) \
+                == _spec_key_hash(artifact.to_json()), kind
+
+    def test_placeholder_collision_still_serializes(self, tmp_path):
+        """Strings equal to the splice placeholder, as values, keys and
+        the label, move the splice to a fresh placeholder."""
+        first, second, third = _PLACEHOLDERS
+        payload = {
+            "a": np.arange(3.0),
+            "s": first,
+            first: [second, np.float32(1.5), {third: np.zeros((2, 0))}],
+            "tagged": {NDARRAY_TAG: True, "dtype": "<f8", "shape": [],
+                       "data": first},
+        }
+        store = ResultStore(tmp_path / "store")
+        _put_matches_spec(store, _key(), _Body(payload),
+                          _spec_encode(payload), label=second)
+        assert b"".join(dump(skeleton(payload))) == \
+            json.dumps(_spec_encode(payload),
+                       separators=(",", ":")).encode()
+
+    def test_unserializable_bodies_still_raise(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        for body in ({1: "non-string key"}, [object()],
+                     {"x": np.array([object()])}, b"bytes"):
+            with pytest.raises(TypeError):
+                store.put(_key(), _Body(body))
+        assert not list(store.objects.glob("*/*.json"))
+
+    def test_put_bytes_and_manifest_size_match_disk(self, tmp_path,
+                                                    characterization):
+        from repro import obs
+        store = ResultStore(tmp_path / "store")
+        key = {"kind": "alu_characterization",
+               "schema": ALU_CHARACTERIZATION_SCHEMA, "alu": ["size"]}
+        trace = tmp_path / "t.jsonl"
+        obs.configure(trace)
+        try:
+            store.put(key, characterization)
+            store.put(_key(), _point())
+        finally:
+            obs.shutdown()
+            totals = obs.counter_totals(obs.read_trace(trace))
+            obs.reset()
+        sizes = {entry.sha256: entry.n_bytes for entry in store.ls()}
+        on_disk = {path.stem: path.stat().st_size
+                   for path in store.objects.glob("*/*.json")}
+        assert sizes == on_disk
+        assert totals["store.put_bytes"] == sum(on_disk.values())
+
+    def test_torn_write_keeps_exactly_the_first_half(self, tmp_path):
+        from repro import faults
+        store = ResultStore(tmp_path / "store")
+        store.put(_key(), _point())
+        whole = store._object_path(store.key_of(_key())).read_bytes()
+        faults.configure("store.object_write:torn@after=1")
+        try:
+            store.put(_key(), _point())
+        finally:
+            faults.reset()
+        torn = store._object_path(store.key_of(_key())).read_bytes()
+        created = re.compile(rb'"created_unix":[-+0-9.eE]+,')
+        assert len(torn) == len(whole) // 2
+        assert created.sub(b"", torn) == \
+            created.sub(b"", whole)[:len(created.sub(b"", torn))]
